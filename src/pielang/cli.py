@@ -86,8 +86,7 @@ def check_source(source: str, name: str = "<input>", *, prelude: bool = True,
     return report
 
 
-def run_check(paths, *, dump_types: bool = False, prelude: bool = True,
-              budget: int | None = None,
+def run_check(paths, *, prelude: bool = True, budget: int | None = None,
               normalize_name: str | None = None) -> list[CheckReport]:
     return [
         check_file(p, prelude=prelude, budget=budget, normalize_name=normalize_name)
@@ -171,7 +170,6 @@ def main(argv=None) -> int:
 
     reports = run_check(
         args.files,
-        dump_types=args.dump_types,
         prelude=not args.no_prelude,
         budget=args.budget,
         normalize_name=args.normalize,

@@ -17,6 +17,7 @@ from .syntax import (
     free_vars,
     fresh_name,
     spine,
+    subst,
 )
 from .typecheck import Diagnostic, ensure_universe, fail, type_check
 
@@ -103,8 +104,6 @@ def register_inductive(ctxt: Context, decl) -> tuple[Context, list[Diagnostic]]:
     warnings = _check_ind(ctxt, node)
     ctxt = ctxt.extend_type_value(decl.name, decl.arity, node)
     for i, (cname, ctype) in enumerate(node.constructors, start=1):
-        from .syntax import subst
-
         ctxt = ctxt.extend_type_value(cname, subst(decl.name, node, ctype), Constr(i, node))
     return ctxt, warnings
 
@@ -117,8 +116,6 @@ def check_constr(ctxt: Context, c: Constr) -> Term:
     if not 1 <= c.index <= n:
         fail("T-Constr", f"constructor index {c.index} out of bounds (1..{n})", c.span)
     check_ind(ctxt, ind)
-    from .syntax import subst
-
     return subst(ind.name, ind, ind.constructors[c.index - 1][1])
 
 
@@ -163,8 +160,6 @@ def check_match(ctxt: Context, m: Match) -> Term:
             f"match has {len(m.branches)} branches, {head.name} has {len(ctors)} constructors",
             m.span,
         )
-    from .syntax import subst
-
     for i, ((bname, body), (cname, ctype)) in enumerate(zip(m.branches, ctors), start=1):
         if bname != cname:
             fail(

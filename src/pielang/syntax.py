@@ -2,7 +2,9 @@
 inductive definitions, constructors, case matches and fixpoints.
 
 Terms are immutable. Binding is name-based; capture is avoided by
-renaming binders to fresh names on demand during substitution.
+renaming binders to fresh names on demand during substitution. Each node
+computes its free names once and keeps them, so substitution skips every
+subterm that does not mention the substituted name.
 """
 from __future__ import annotations
 
@@ -160,89 +162,93 @@ def apply_spine(head: Term, args) -> Term:
 # ---------------------------------------------------------------------------
 
 def free_vars(t: Term) -> frozenset[Name]:
+    """The free names of t, computed once per node and kept on it."""
+    memo = t.__dict__
+    fv = memo.get("_free_vars")
+    if fv is not None:
+        return fv
     match t:
         case Var(name=n):
-            return frozenset((n,))
+            fv = frozenset((n,))
         case Universe():
-            return frozenset()
+            fv = frozenset()
         case Lam(binder=x, domain=d, body=b) | Pi(binder=x, domain=d, body=b):
-            return free_vars(d) | (free_vars(b) - {x})
+            fv = free_vars(d) | (free_vars(b) - {x})
         case App(fn=f, arg=a):
-            return free_vars(f) | free_vars(a)
+            fv = free_vars(f) | free_vars(a)
         case Ind(name=n, arity=a, constructors=cs):
             fv = free_vars(a)
             for _, ct in cs:
                 fv |= free_vars(ct) - {n}
-            return fv
         case Constr(inductive=i):
-            return free_vars(i)
+            fv = free_vars(i)
         case Match(carrier=c, scrutinee=s, branches=bs):
             fv = free_vars(c) | free_vars(s)
             for _, body in bs:
                 fv |= free_vars(body)
-            return fv
         case Fix(name=n, signature=s, body=b):
-            return free_vars(s) | (free_vars(b) - {n})
-    raise TypeError(f"not a term: {t!r}")
+            fv = free_vars(s) | (free_vars(b) - {n})
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    memo["_free_vars"] = fv
+    return fv
 
 
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------
 
-def _subst_binder(x: Name, s: Term, binder: Name, body: Term):
-    """Prepare a binder for substitution: stop under shadowing, rename to a
-    fresh name when the binder would capture a free variable of s."""
-    if binder == x:
-        return binder, body, False
-    if binder in free_vars(s) and x in free_vars(body):
-        renamed = fresh_name(binder)
-        body = subst(binder, Var(renamed), body)
-        return renamed, body, True
-    return binder, body, True
-
-
 def subst(x: Name, s: Term, t: Term) -> Term:
+    """Capture-avoiding [x := s] t."""
+    return _subst_all({x: s}, t)
+
+
+def _subst_all(sigma: dict[Name, Term], t: Term) -> Term:
+    """Simultaneous capture-avoiding substitution. A subterm in which no
+    name of sigma is free comes back as the same object, span included."""
+    if sigma.keys().isdisjoint(free_vars(t)):
+        return t
     match t:
         case Var(name=n):
-            return s if n == x else t
-        case Universe():
-            return t
+            return sigma[n]
         case Lam(binder=y, domain=d, body=b):
-            y, b, descend = _subst_binder(x, s, y, b)
-            return Lam(y, subst(x, s, d), subst(x, s, b) if descend else b)
+            y, inner = _under_binder(sigma, y, b)
+            return Lam(y, _subst_all(sigma, d), _subst_all(inner, b))
         case Pi(binder=y, domain=d, body=b):
-            y, b, descend = _subst_binder(x, s, y, b)
-            return Pi(y, subst(x, s, d), subst(x, s, b) if descend else b)
+            y, inner = _under_binder(sigma, y, b)
+            return Pi(y, _subst_all(sigma, d), _subst_all(inner, b))
         case App(fn=f, arg=a):
-            return App(subst(x, s, f), subst(x, s, a))
+            return App(_subst_all(sigma, f), _subst_all(sigma, a))
         case Ind(name=n, arity=a, constructors=cs):
-            arity = subst(x, s, a)
-            if n == x:
-                return Ind(n, arity, cs)
-            if n in free_vars(s) and any(x in free_vars(ct) for _, ct in cs):
-                renamed = fresh_name(n)
-                cs = tuple((cn, subst(n, Var(renamed), ct)) for cn, ct in cs)
-                n = renamed
-            return Ind(n, arity, tuple((cn, subst(x, s, ct)) for cn, ct in cs))
+            arity = _subst_all(sigma, a)
+            n, inner = _under_binder(sigma, n, *(ct for _, ct in cs))
+            return Ind(n, arity, tuple((cn, _subst_all(inner, ct)) for cn, ct in cs))
         case Constr(index=i, inductive=ind):
-            return Constr(i, subst(x, s, ind))
+            return Constr(i, _subst_all(sigma, ind))
         case Match(carrier=c, scrutinee=m, branches=bs):
             return Match(
-                subst(x, s, c),
-                subst(x, s, m),
-                tuple((cn, subst(x, s, body)) for cn, body in bs),
+                _subst_all(sigma, c),
+                _subst_all(sigma, m),
+                tuple((cn, _subst_all(sigma, body)) for cn, body in bs),
             )
         case Fix(name=n, dec_index=k, signature=sig, body=b):
-            sig = subst(x, s, sig)
-            if n == x:
-                return Fix(n, k, sig, b)
-            if n in free_vars(s) and x in free_vars(b):
-                renamed = fresh_name(n)
-                b = subst(n, Var(renamed), b)
-                n = renamed
-            return Fix(n, k, sig, subst(x, s, b))
+            sig = _subst_all(sigma, sig)
+            n, inner = _under_binder(sigma, n, b)
+            return Fix(n, k, sig, _subst_all(inner, b))
     raise TypeError(f"not a term: {t!r}")
+
+
+def _under_binder(sigma: dict[Name, Term], binder: Name, *scope: Term):
+    """The binder and substitution to use in its scope: drop the names it
+    shadows or the scope does not mention, and rename the binder to a fresh
+    name when it would capture a free variable of a replacement."""
+    used = frozenset().union(*map(free_vars, scope))
+    inner = {x: s for x, s in sigma.items() if x != binder and x in used}
+    if any(binder in free_vars(s) for s in inner.values()):
+        renamed = fresh_name(binder)
+        inner[binder] = Var(renamed)
+        binder = renamed
+    return binder, inner
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +256,7 @@ def subst(x: Name, s: Term, t: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    return _aeq(a, b, {}, {}, 0)
+    return a is b or _aeq(a, b, {}, {}, 0)
 
 
 def _aeq(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:

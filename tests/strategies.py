@@ -15,7 +15,14 @@ names = st.sampled_from(NAME_POOL)
 ctor_labels = st.sampled_from((Name("C1"), Name("C2")))
 
 
-def _compound(children):
+def _single_branch_match(children):
+    return st.builds(
+        lambda c, s, cn, b: Match(c, s, ((cn, b),)),
+        children, children, ctor_labels, children,
+    )
+
+
+def _compound(children, match=_single_branch_match):
     return st.one_of(
         st.builds(App, children, children),
         st.builds(Lam, names, children, children),
@@ -29,19 +36,34 @@ def _compound(children):
             names, children, ctor_labels, children,
         ),
         st.builds(lambda i: Constr(1, i), children),
-        st.builds(
-            lambda c, s, cn, b: Match(c, s, ((cn, b),)),
-            children, children, ctor_labels, children,
-        ),
+        match(children),
     )
 
 
+universes = st.integers(min_value=0, max_value=3).map(Universe)
+
 terms = st.recursive(
-    st.one_of(
-        names.map(Var),
-        st.integers(min_value=0, max_value=3).map(Universe),
-    ),
+    st.one_of(names.map(Var), universes),
     _compound,
+    max_leaves=12,
+)
+
+
+def _nat_match(children):
+    """A match with one branch per constructor of Nat, so that reducing it
+    on Zero or on Succ always finds its branch."""
+    return st.builds(
+        lambda c, s, z, n: Match(c, s, ((Name("Zero"), z), (Name("Succ"), n))),
+        children, children, children, children,
+    )
+
+
+# terms that also mention the definitions of add.pie
+ADD_NAMES = tuple(Name(s) for s in ("Zero", "Succ", "add", "two", "four"))
+
+add_terms = st.recursive(
+    st.one_of(st.sampled_from(NAME_POOL + ADD_NAMES).map(Var), universes),
+    lambda children: _compound(children, _nat_match),
     max_leaves=12,
 )
 
@@ -76,10 +98,7 @@ recursion_bodies = st.recursive(
 
 # the pure binder fragment, enough for most properties and faster to shrink
 lambda_terms = st.recursive(
-    st.one_of(
-        names.map(Var),
-        st.integers(min_value=0, max_value=3).map(Universe),
-    ),
+    st.one_of(names.map(Var), universes),
     lambda children: st.one_of(
         st.builds(App, children, children),
         st.builds(Lam, names, children, children),
