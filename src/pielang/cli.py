@@ -39,51 +39,57 @@ class CheckReport:
 def check_file(path: str, *, prelude: bool = True, budget: int | None = None,
                normalize_name: str | None = None) -> CheckReport:
     report = CheckReport(file=path)
-    if budget is not None:
-        normalize.DEFAULT_BUDGET = budget
     try:
         source = Path(path).read_text(encoding="utf-8")
     except OSError as err:
         report.diagnostics.append(Diagnostic("Parse", f"cannot read file: {err}"))
         report.exit_code = 1
         return report
-    return check_source(source, path, prelude=prelude, normalize_name=normalize_name)
+    return check_source(source, path, prelude=prelude, budget=budget,
+                        normalize_name=normalize_name)
 
 
 def check_source(source: str, name: str = "<input>", *, prelude: bool = True,
-                 normalize_name: str | None = None) -> CheckReport:
-    report = CheckReport(file=name)
+                 budget: int | None = None, normalize_name: str | None = None) -> CheckReport:
+    """`budget` replaces the normalization step budget for this call only."""
+    saved = normalize.DEFAULT_BUDGET
+    if budget is not None:
+        normalize.DEFAULT_BUDGET = budget
     try:
-        program = parse_program(source, name, prelude=prelude)
-    except CheckError as err:
-        report.diagnostics.append(err.diagnostic)
-        report.exit_code = 1
-        return report
-
-    result = elaborate(program)
-    for dname, dtype, status in result.entries:
-        rendered = pretty(dtype) if dtype is not None else "?"
-        report.decls.append((str(dname), rendered, status))
-    report.diagnostics.extend(result.diagnostics)
-    if any(d.severity == "error" for d in report.diagnostics):
-        report.exit_code = 1
-
-    if normalize_name is not None and report.exit_code == 0:
-        target = Name(normalize_name)
-        value = result.context.lookup_val(target)
-        if value is None:
-            report.diagnostics.append(
-                Diagnostic("Parse", f"--normalize: no value bound to {normalize_name}")
-            )
+        report = CheckReport(file=name)
+        try:
+            program = parse_program(source, name, prelude=prelude)
+        except CheckError as err:
+            report.diagnostics.append(err.diagnostic)
             report.exit_code = 1
-        else:
-            try:
-                normal = normalise(value, result.context)
-                report.extra_lines.append(f"{normalize_name} ~> {pretty(normal)}")
-            except BudgetExceeded as err:
-                report.diagnostics.append(Diagnostic("Budget", str(err)))
+            return report
+
+        result = elaborate(program)
+        for dname, dtype, status in result.entries:
+            rendered = pretty(dtype) if dtype is not None else "?"
+            report.decls.append((str(dname), rendered, status))
+        report.diagnostics.extend(result.diagnostics)
+        if any(d.severity == "error" for d in report.diagnostics):
+            report.exit_code = 1
+
+        if normalize_name is not None and report.exit_code == 0:
+            target = Name(normalize_name)
+            value = result.context.lookup_val(target)
+            if value is None:
+                report.diagnostics.append(
+                    Diagnostic("Parse", f"--normalize: no value bound to {normalize_name}")
+                )
                 report.exit_code = 1
-    return report
+            else:
+                try:
+                    normal = normalise(value, result.context)
+                    report.extra_lines.append(f"{normalize_name} ~> {pretty(normal)}")
+                except BudgetExceeded as err:
+                    report.diagnostics.append(Diagnostic("Budget", str(err)))
+                    report.exit_code = 1
+        return report
+    finally:
+        normalize.DEFAULT_BUDGET = saved
 
 
 def run_check(paths, *, prelude: bool = True, budget: int | None = None,

@@ -1,4 +1,4 @@
-"""Persistent typing environment: ordered (name, type, optional value) bindings."""
+"""Persistent typing environment: (name, type, optional value) bindings."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -13,25 +13,39 @@ class Binding:
     value: Term | None = None
 
 
-@dataclass(frozen=True)
 class Context:
-    """Innermost binding last; lookups scan from the inside out, so local
-    binders shadow earlier (including top-level) bindings. Extending never
-    mutates the receiver."""
+    """Two name-keyed dicts: top-level names (axioms, defs, inductives and
+    constructors; see `declare`) and local binders (λ, Π, fixpoint and
+    inductive self-binders). Locals shadow top-level names. Extending never
+    mutates the receiver; pushing a local copies only the local dict."""
 
-    bindings: tuple[Binding, ...] = ()
+    __slots__ = ("_top", "_local")
+
+    def __init__(self, bindings: tuple[Binding, ...] = ()):
+        self._top = {b.name: b for b in bindings}  # a later binding wins
+        self._local: dict[Name, Binding] = {}
+
+    def _with(self, top: dict[Name, Binding], local: dict[Name, Binding]) -> "Context":
+        new = object.__new__(Context)
+        new._top, new._local = top, local
+        return new
+
+    @property
+    def bindings(self) -> tuple[Binding, ...]:
+        """Top-level bindings in declaration order, then the locals."""
+        return (*self._top.values(), *self._local.values())
+
+    def declare(self, name: Name, type_: Term, value: Term | None = None) -> "Context":
+        return self._with({**self._top, name: Binding(name, type_, value)}, self._local)
 
     def extend_type(self, name: Name, type_: Term) -> "Context":
-        return Context(self.bindings + (Binding(name, type_),))
+        return self._with(self._top, {**self._local, name: Binding(name, type_)})
 
     def extend_type_value(self, name: Name, type_: Term, value: Term) -> "Context":
-        return Context(self.bindings + (Binding(name, type_, value),))
+        return self._with(self._top, {**self._local, name: Binding(name, type_, value)})
 
     def _lookup(self, name: Name) -> Binding | None:
-        for b in reversed(self.bindings):
-            if b.name == name:
-                return b
-        return None
+        return self._local.get(name) or self._top.get(name)
 
     def lookup_type(self, name: Name) -> Term | None:
         b = self._lookup(name)

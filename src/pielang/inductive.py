@@ -102,9 +102,9 @@ def register_inductive(ctxt: Context, decl) -> tuple[Context, list[Diagnostic]]:
     every constructor name in the returned context."""
     node = Ind(decl.name, decl.arity, tuple(decl.constructors), span=decl.span)
     warnings = _check_ind(ctxt, node)
-    ctxt = ctxt.extend_type_value(decl.name, decl.arity, node)
+    ctxt = ctxt.declare(decl.name, decl.arity, node)
     for i, (cname, ctype) in enumerate(node.constructors, start=1):
-        ctxt = ctxt.extend_type_value(cname, subst(decl.name, node, ctype), Constr(i, node))
+        ctxt = ctxt.declare(cname, subst(decl.name, node, ctype), Constr(i, node))
     return ctxt, warnings
 
 

@@ -104,18 +104,15 @@ def tokenize(source: str) -> list[Token]:
             continue
         col = 0
         n = len(line)
+
+        def emit(kind, value, width):  # reads col when called
+            tokens.append(Token(kind, value, SourceSpan(lineno, col + 1, lineno, col + width)))
+
         while col < n:
             ch = line[col]
             if ch.isspace():
                 col += 1
                 continue
-            here = SourceSpan(lineno, col + 1, lineno, col + 1)
-
-            def emit(kind, value, width):
-                tokens.append(
-                    Token(kind, value, SourceSpan(lineno, col + 1, lineno, col + width))
-                )
-
             if ch == "→":
                 emit("->", "->", 1)
                 col += 1
@@ -124,12 +121,14 @@ def tokenize(source: str) -> list[Token]:
                     emit("->", "->", 2)
                     col += 2
                 else:
+                    here = SourceSpan(lineno, col + 1, lineno, col + 1)
                     _parse_error("stray '-' (expected '->')", here)
             elif ch == "=":
                 if col + 1 < n and line[col + 1] == ">":
                     emit("=>", "=>", 2)
                     col += 2
                 else:
+                    here = SourceSpan(lineno, col + 1, lineno, col + 1)
                     _parse_error("stray '=' (expected '=>' or ':=')", here)
             elif ch == ":":
                 if col + 1 < n and line[col + 1] == "=":

@@ -53,8 +53,6 @@ def fail(rule: str, message: str, span=None, expected=None, actual=None):
 
 def type_check(ctxt: Context, e: Term) -> Term:
     """Return the type of e or raise CheckError with the violated rule."""
-    from . import inductive, termination
-
     match e:
         case Var(name=x, span=span):
             t = ctxt.lookup_type(x)
@@ -121,7 +119,6 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
     """Fold a parsed program declaration by declaration. A failing
     declaration contributes a diagnostic; later ones still check against
     the context built from the earlier successes."""
-    from . import inductive
     from .parser import AxiomDecl, DefDecl, InductiveDeclSrc, desugar_def
 
     reset_fresh_names()
@@ -140,7 +137,7 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                 case AxiomDecl(name=name, type=t, span=span):
                     claim(name, span)
                     ensure_universe(ctxt, t, "T-Univ", "axiom type must live in a universe", span)
-                    ctxt = ctxt.extend_type(name, t)
+                    ctxt = ctxt.declare(name, t)
                     result.entries.append((name, t, "ok"))
                 case DefDecl(name=name, span=span):
                     claim(name, span)
@@ -157,7 +154,7 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                             expected=normalise(declared, ctxt),
                             actual=normalise(inferred, ctxt),
                         )
-                    ctxt = ctxt.extend_type_value(name, declared, value)
+                    ctxt = ctxt.declare(name, declared, value)
                     result.entries.append((name, declared, "ok"))
                 case InductiveDeclSrc(name=name, span=span):
                     claim(name, span)
@@ -182,3 +179,6 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
 
     result.context = ctxt
     return result
+
+
+from . import inductive, termination  # noqa: E402  (both import this module)

@@ -5,6 +5,7 @@ from conftest import corpus_source
 from pielang.cli import (
     NEGATIVE_CORPUS,
     POSITIVE_CORPUS,
+    check_file,
     check_source,
     corpus_path,
     load_corpus,
@@ -37,6 +38,15 @@ class TestCheckSource:
     def test_normalize_flag(self):
         report = check_source(corpus_source("add.pie"), normalize_name="four")
         assert report.extra_lines == ["four ~> (Succ (Succ (Succ (Succ Zero))))"]
+
+    def test_budget_applies_to_one_call_only(self, tmp_path):
+        path = tmp_path / "appendix_c.pie"
+        path.write_text(corpus_source("appendix_c.pie"), encoding="utf-8")
+        starved = check_file(str(path), budget=7)
+        assert starved.exit_code == 1
+        assert starved.diagnostics[0].rule == "Budget"
+        later = check_source(corpus_source("appendix_c.pie"), "appendix_c.pie")
+        assert later.exit_code == 0, later.lines()
 
     def test_prelude_supplies_void(self):
         source = "Axiom absurd : Void -> Set;"

@@ -22,6 +22,7 @@ from pielang import (
     pretty,
     subst,
 )
+from pielang.cli import check_source
 from pielang.normalize import _DEPTH_LIMIT
 from strategies import add_terms, names, terms
 
@@ -116,6 +117,18 @@ class TestRecursion:
         elapsed = time.perf_counter() - start
         assert alpha_eq(result, numeral(ctxt, 400))
         assert elapsed < 0.5
+
+    def test_long_files_check_in_linear_time(self):
+        n = 2000
+        lines = ["Axiom T : Set;"]
+        lines += [f"Axiom a{j} : T;" for j in range(n)]
+        lines += [f"def d{j}() : T {{ a{(7 * j) % n} }};" for j in range(n)]
+        start = time.perf_counter()
+        report = check_source("\n".join(lines))
+        elapsed = time.perf_counter() - start
+        assert report.exit_code == 0
+        assert len(report.decls) == 2 * n + 3
+        assert elapsed < 1.0
 
     def test_only_capturing_binders_are_renamed(self):
         t = normalise(parse_term("λy:Set.((λx:Set.λy:Set.x) y)"), EMPTY)

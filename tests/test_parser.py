@@ -101,6 +101,17 @@ class TestDeclarations:
             parse_program("Axiom o : Set Axiom p : Set;")
         assert err.value.diagnostic.rule == "Parse"
 
+    @pytest.mark.parametrize("source, message", [
+        ("Axiom o : Set;\nAxiom p : o - o;", "2:13: stray '-' (expected '->')"),
+        ("Axiom o : Set;\n  Axiom p = o;", "2:11: stray '=' (expected '=>' or ':=')"),
+    ])
+    def test_stray_character_location(self, source, message):
+        with pytest.raises(CheckError) as err:
+            parse_program(source)
+        diag = err.value.diagnostic
+        assert diag.rule == "Parse"
+        assert f"{diag.span}: {diag.message}" == message
+
     def test_empty_file(self):
         assert parse_program("", prelude=False).decls == []
 
