@@ -169,14 +169,14 @@ def check_match(ctxt: Context, m: Match) -> Term:
                 m.span,
             )
         closed = subst(head.name, head, ctype)
-        expected = normalise(case_type(closed, m.carrier, Constr(i, head)), ctxt)
+        expected = case_type(closed, m.carrier, Constr(i, head))
         actual = type_check(ctxt, body)
         if not check_equal(actual, expected, ctxt):
             fail(
                 "T-Match",
                 f"branch {bname} has the wrong type",
                 m.span,
-                expected=expected,
+                expected=normalise(expected, ctxt),
                 actual=normalise(actual, ctxt),
             )
     return normalise(App(apply_spine(m.carrier, args), m.scrutinee), ctxt)

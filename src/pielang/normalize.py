@@ -107,6 +107,8 @@ class _VMatch:
 
 # terms that evaluate to themselves paired with their environment
 _CLOSED_TERMS = (Lam, Pi, Universe, Ind, Constr, Fix)
+# those of them that evaluation and conversion never look inside
+_INERT_TERMS = (Universe, Ind, Constr, Fix)
 
 
 def _constructor(v) -> tuple[Constr | None, tuple]:
@@ -350,7 +352,7 @@ def _within_depth_limit(run):
 
 
 def normalise(e: Term, ctxt: Context, budget: int | None = None) -> Term:
-    if isinstance(e, (Universe, Ind, Constr, Fix)):
+    if isinstance(e, _INERT_TERMS):
         # the general path returns these unchanged too, but typing asks for
         # the normal form of a universe so often that its cost shows
         return e
@@ -362,6 +364,8 @@ def check_equal(a: Term, b: Term, ctxt: Context, budget: int | None = None) -> b
     """Definitional equality. Each side draws on a budget of its own, as it
     would when normalised on its own, and evaluates nothing that
     normalising it would not."""
+    if isinstance(a, _INERT_TERMS) and isinstance(b, _INERT_TERMS):
+        return alpha_eq(a, b)  # what _convert answers, without an evaluator
     left, right = _Evaluator(ctxt, budget), _Evaluator(ctxt, budget)
     return _within_depth_limit(
         lambda: _convert(left, right, left.eval(a, {}), right.eval(b, {}), 0)

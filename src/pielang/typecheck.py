@@ -52,7 +52,9 @@ def fail(rule: str, message: str, span=None, expected=None, actual=None):
 
 
 def type_check(ctxt: Context, e: Term) -> Term:
-    """Return the type of e or raise CheckError with the violated rule."""
+    """Return *a* type of e, not necessarily normal, or raise CheckError
+    with the violated rule. Compare types with `check_equal`; normalise one
+    only to show it or to walk its structure."""
     match e:
         case Var(name=x, span=span):
             t = ctxt.lookup_type(x)
@@ -72,7 +74,9 @@ def type_check(ctxt: Context, e: Term) -> Term:
             )
             return Universe(max(i, j))
         case App(fn=f, arg=a, span=span):
-            tf = normalise(type_check(ctxt, f), ctxt)
+            tf = type_check(ctxt, f)
+            if not isinstance(tf, Pi):
+                tf = normalise(tf, ctxt)
             if not isinstance(tf, Pi):
                 fail("T-App", "applying a non-function", span, actual=tf)
             ta = type_check(ctxt, a)

@@ -130,6 +130,21 @@ class TestRecursion:
         assert len(report.decls) == 2 * n + 3
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("dependent", [False, True], ids=["arrows", "pis"])
+    def test_applications_check_in_linear_time(self, dependent):
+        k = 400
+        if dependent:
+            type_ = "".join(f"Πx{j}:A." for j in range(k)) + "A"
+        else:
+            type_ = " -> ".join(["A"] * (k + 1))
+        source = (f"Axiom A : Set; Axiom a : A; Axiom f : {type_};\n"
+                  f"def r() : A {{ (f {' '.join(['a'] * k)}) }};")
+        start = time.perf_counter()
+        report = check_source(source)
+        elapsed = time.perf_counter() - start
+        assert report.exit_code == 0
+        assert elapsed < 0.25
+
     def test_only_capturing_binders_are_renamed(self):
         t = normalise(parse_term("λy:Set.((λx:Set.λy:Set.x) y)"), EMPTY)
         assert t.binder == Name("y") and t.body.binder != Name("y")
