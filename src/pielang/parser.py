@@ -151,7 +151,7 @@ def tokenize(source: str) -> list[Token]:
                 word = line[start:col]
                 if word in KEYWORDS:
                     emit(word, word, col - start)
-                elif word.isdigit():
+                elif word.isdecimal():  # what int() accepts; '²' is a name
                     emit("number", word, col - start)
                 else:
                     emit("name", word, col - start)

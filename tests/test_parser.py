@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_source
+from pielang.cli import check_source
 from pielang import (
     AxiomDecl,
     CheckError,
@@ -52,6 +53,7 @@ class TestExpressions:
         assert parse_term("Prop") == Universe(0)
         assert parse_term("Type") == Universe(1)
         assert parse_term("Type 4") == Universe(4)
+        assert parse_term("Type ٣") == Universe(3)
 
     def test_unicode_arrow_and_superset_name(self):
         t = parse_term("(⊃ A B) → o")
@@ -151,12 +153,18 @@ class TestDesugaring:
 
 class TestRobustness:
     @given(st.text(max_size=60))
+    @example("Axiom A : Type ²;")
     @settings(max_examples=200)
     def test_never_crashes_on_arbitrary_text(self, source):
         try:
             parse_program(source)
         except CheckError as err:
             assert err.diagnostic.rule == "Parse"
+
+    def test_superscript_digit_is_a_name_not_a_level(self):
+        report = check_source("Axiom A : Type ²;")
+        assert report.exit_code == 1
+        assert [d.rule for d in report.diagnostics] == ["Parse"]
 
     def test_round_trip_for_declared_corpus_types(self):
         for name in ("fol.pie", "fol_proof.pie", "eq_nat.pie", "peano.pie"):
