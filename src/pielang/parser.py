@@ -144,17 +144,17 @@ def tokenize(source: str) -> list[Token]:
                 emit(ch, ch, 1)
                 col += 1
             else:
-                start = col
-                while col < n and not line[col].isspace() and line[col] not in _PUNCT \
-                        and line[col] != "→":
-                    col += 1
-                word = line[start:col]
+                stop = col
+                while stop < n and not line[stop].isspace() and line[stop] not in _PUNCT \
+                        and line[stop] != "→":
+                    stop += 1
+                word = line[col:stop]
                 if word in KEYWORDS:
-                    emit(word, word, col - start)
-                elif word.isdecimal():  # what int() accepts; '²' is a name
-                    emit("number", word, col - start)
-                else:
-                    emit("name", word, col - start)
+                    kind = word
+                else:  # isdecimal, not isdigit: int() rejects '²', which is a name
+                    kind = "number" if word.isdecimal() else "name"
+                emit(kind, word, stop - col)
+                col = stop
     end = SourceSpan(len(lines), len(lines[-1]) + 1, len(lines), len(lines[-1]) + 1)
     tokens.append(Token("eof", "", end))
     return tokens

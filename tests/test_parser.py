@@ -114,6 +114,15 @@ class TestDeclarations:
         assert diag.rule == "Parse"
         assert f"{diag.span}: {diag.message}" == message
 
+    @pytest.mark.parametrize("source, line", [
+        ("Axiom a : Set;\nAxiom b : undefinedname;",
+         "error[T-Var] x.pie:2:11: unbound variable undefinedname"),
+        ("Axiom a : Set;\n  Axiom b : a;\nAxiom c : b;",
+         "error[T-Univ] x.pie:3:7: axiom type must live in a universe"),
+    ])
+    def test_name_location(self, source, line):
+        assert check_source(source, "x.pie").lines() == [line]
+
     def test_empty_file(self):
         assert parse_program("", prelude=False).decls == []
 
