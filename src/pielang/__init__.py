@@ -2,8 +2,8 @@
 dependent case matches and guard-checked recursion, plus a parser and
 batch checker for `.pie` files."""
 
-from .context import Binding, Context
-from .normalize import DEFAULT_BUDGET, BudgetExceeded, check_equal, normalise
+from .context import DEFAULT_BUDGET, Binding, Context
+from .normalize import BudgetExceeded, check_equal, normalise
 from .parser import (
     AxiomDecl,
     DefDecl,
@@ -33,7 +33,8 @@ from .syntax import (
     reset_fresh_names,
     subst,
 )
-from .typecheck import CheckError, Diagnostic, ElabResult, elaborate, type_check
+from .diagnostics import CheckError, Diagnostic
+from .typecheck import ElabResult, elaborate, type_check
 
 __all__ = [
     "App",

@@ -11,11 +11,12 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from . import normalize
+from .context import Context
+from .diagnostics import CheckError, Diagnostic
 from .normalize import BudgetExceeded, normalise
 from .parser import parse_program
 from .syntax import Name, pretty
-from .typecheck import CheckError, Diagnostic, elaborate
+from .typecheck import elaborate
 
 
 @dataclass
@@ -52,44 +53,38 @@ def check_file(path: str, *, prelude: bool = True, budget: int | None = None,
 def check_source(source: str, name: str = "<input>", *, prelude: bool = True,
                  budget: int | None = None, normalize_name: str | None = None) -> CheckReport:
     """`budget` replaces the normalization step budget for this call only."""
-    saved = normalize.DEFAULT_BUDGET
-    if budget is not None:
-        normalize.DEFAULT_BUDGET = budget
+    report = CheckReport(file=name)
     try:
-        report = CheckReport(file=name)
-        try:
-            program = parse_program(source, name, prelude=prelude)
-        except CheckError as err:
-            report.diagnostics.append(err.diagnostic)
-            report.exit_code = 1
-            return report
-
-        result = elaborate(program)
-        for dname, dtype, status in result.entries:
-            rendered = pretty(dtype) if dtype is not None else "?"
-            report.decls.append((str(dname), rendered, status))
-        report.diagnostics.extend(result.diagnostics)
-        if any(d.severity == "error" for d in report.diagnostics):
-            report.exit_code = 1
-
-        if normalize_name is not None and report.exit_code == 0:
-            target = Name(normalize_name)
-            value = result.context.lookup_val(target)
-            if value is None:
-                report.diagnostics.append(
-                    Diagnostic("Parse", f"--normalize: no value bound to {normalize_name}")
-                )
-                report.exit_code = 1
-            else:
-                try:
-                    normal = normalise(value, result.context)
-                    report.extra_lines.append(f"{normalize_name} ~> {pretty(normal)}")
-                except BudgetExceeded as err:
-                    report.diagnostics.append(Diagnostic("Budget", str(err)))
-                    report.exit_code = 1
+        program = parse_program(source, name, prelude=prelude)
+    except CheckError as err:
+        report.diagnostics.append(err.diagnostic)
+        report.exit_code = 1
         return report
-    finally:
-        normalize.DEFAULT_BUDGET = saved
+
+    result = elaborate(program, Context(budget=budget))
+    for dname, dtype, status in result.entries:
+        rendered = pretty(dtype) if dtype is not None else "?"
+        report.decls.append((str(dname), rendered, status))
+    report.diagnostics.extend(result.diagnostics)
+    if any(d.severity == "error" for d in report.diagnostics):
+        report.exit_code = 1
+
+    if normalize_name is not None and report.exit_code == 0:
+        target = Name(normalize_name)
+        value = result.context.lookup_val(target)
+        if value is None:
+            report.diagnostics.append(
+                Diagnostic("Parse", f"--normalize: no value bound to {normalize_name}")
+            )
+            report.exit_code = 1
+        else:
+            try:
+                normal = normalise(value, result.context)
+                report.extra_lines.append(f"{normalize_name} ~> {pretty(normal)}")
+            except BudgetExceeded as err:
+                report.diagnostics.append(Diagnostic("Budget", str(err)))
+                report.exit_code = 1
+    return report
 
 
 def run_check(paths, *, prelude: bool = True, budget: int | None = None,

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 from .syntax import Name, Term
 
+DEFAULT_BUDGET = 100_000
+
 
 @dataclass(frozen=True)
 class Binding:
@@ -17,17 +19,19 @@ class Context:
     """Two name-keyed dicts: top-level names (axioms, defs, inductives and
     constructors; see `declare`) and local binders (λ, Π, fixpoint and
     inductive self-binders). Locals shadow top-level names. Extending never
-    mutates the receiver; pushing a local copies only the local dict."""
+    mutates the receiver; pushing a local copies only the local dict. Every
+    context extended from this one carries its normalization step budget."""
 
-    __slots__ = ("_top", "_local")
+    __slots__ = ("_top", "_local", "budget")
 
-    def __init__(self, bindings: tuple[Binding, ...] = ()):
+    def __init__(self, bindings: tuple[Binding, ...] = (), budget: int | None = None):
         self._top = {b.name: b for b in bindings}  # a later binding wins
         self._local: dict[Name, Binding] = {}
+        self.budget = DEFAULT_BUDGET if budget is None else budget
 
     def _with(self, top: dict[Name, Binding], local: dict[Name, Binding]) -> "Context":
         new = object.__new__(Context)
-        new._top, new._local = top, local
+        new._top, new._local, new.budget = top, local, self.budget
         return new
 
     @property

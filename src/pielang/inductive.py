@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from .context import Context
+from .diagnostics import Diagnostic, fail
 from .normalize import check_equal, normalise
 from .syntax import (
     App,
@@ -19,7 +20,7 @@ from .syntax import (
     spine,
     subst,
 )
-from .typecheck import Diagnostic, ensure_universe, fail, type_check
+from .typecheck import ensure_universe, type_check
 
 
 def upsilon(t: Term) -> Universe:

@@ -48,7 +48,6 @@ from .syntax import (
     subst,  # not used here, but `pielang.normalize.subst` keeps resolving
 )
 
-DEFAULT_BUDGET = 100_000
 _DEPTH_LIMIT = 4000
 
 
@@ -132,7 +131,7 @@ class _Evaluator:
 
     def __init__(self, ctxt: Context, budget: int | None):
         self.ctxt = ctxt
-        self.budget = DEFAULT_BUDGET if budget is None else budget
+        self.budget = ctxt.budget if budget is None else budget
         self.remaining = self.budget
         # The term a closure's variable reads back as, where it is not the
         # closure's own binder name or that name has been decided on.

@@ -21,8 +21,10 @@ Lines starting with `--` are skipped.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
+from .diagnostics import CheckError, Diagnostic
 from .syntax import (
     App,
     Fix,
@@ -37,7 +39,6 @@ from .syntax import (
     free_vars,
     fresh_name,
 )
-from .typecheck import CheckError, Diagnostic
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,17 @@ class Token:
     span: SourceSpan
 
 
-_PUNCT = set("(){}<>;,.:|=-λΠ")
+# One alternative per token class, tried in order at each position. Every
+# character but whitespace starts one of them, so the positions `finditer`
+# passes over are exactly the whitespace (`\s` is `str.isspace`).
+_TOKEN = re.compile(
+    r"(?P<arrow>->|→)"
+    r"|(?P<punct>=>|:=|[(){}<>;,.:|λΠ])"
+    r"|(?P<stray>[-=])"
+    r"|(?P<word>[^\s(){}<>;,.:|=λΠ→-]+)"
+)
+
+_STRAY = {"-": "stray '-' (expected '->')", "=": "stray '=' (expected '=>' or ':=')"}
 
 
 def _parse_error(message: str, span: SourceSpan):
@@ -102,59 +113,18 @@ def tokenize(source: str) -> list[Token]:
     for lineno, line in enumerate(lines, start=1):
         if line.lstrip().startswith("--"):
             continue
-        col = 0
-        n = len(line)
-
-        def emit(kind, value, width):  # reads col when called
-            tokens.append(Token(kind, value, SourceSpan(lineno, col + 1, lineno, col + width)))
-
-        while col < n:
-            ch = line[col]
-            if ch.isspace():
-                col += 1
-                continue
-            if ch == "→":
-                emit("->", "->", 1)
-                col += 1
-            elif ch == "-":
-                if col + 1 < n and line[col + 1] == ">":
-                    emit("->", "->", 2)
-                    col += 2
-                else:
-                    here = SourceSpan(lineno, col + 1, lineno, col + 1)
-                    _parse_error("stray '-' (expected '->')", here)
-            elif ch == "=":
-                if col + 1 < n and line[col + 1] == ">":
-                    emit("=>", "=>", 2)
-                    col += 2
-                else:
-                    here = SourceSpan(lineno, col + 1, lineno, col + 1)
-                    _parse_error("stray '=' (expected '=>' or ':=')", here)
-            elif ch == ":":
-                if col + 1 < n and line[col + 1] == "=":
-                    emit(":=", ":=", 2)
-                    col += 2
-                else:
-                    emit(":", ":", 1)
-                    col += 1
-            elif ch in ("λ", "Π"):
-                emit(ch, ch, 1)
-                col += 1
-            elif ch in _PUNCT:
-                emit(ch, ch, 1)
-                col += 1
-            else:
-                stop = col
-                while stop < n and not line[stop].isspace() and line[stop] not in _PUNCT \
-                        and line[stop] != "→":
-                    stop += 1
-                word = line[col:stop]
-                if word in KEYWORDS:
-                    kind = word
-                else:  # isdecimal, not isdigit: int() rejects '²', which is a name
-                    kind = "number" if word.isdecimal() else "name"
-                emit(kind, word, stop - col)
-                col = stop
+        for m in _TOKEN.finditer(line):
+            kind, text = m.lastgroup, m.group()
+            span = SourceSpan(lineno, m.start() + 1, lineno, m.end())
+            if kind == "stray":
+                _parse_error(_STRAY[text], span)
+            if kind == "arrow":
+                kind = text = "->"
+            elif kind == "punct" or text in KEYWORDS:
+                kind = text
+            else:  # isdecimal, not isdigit: int() rejects '²', which is a name
+                kind = "number" if text.isdecimal() else "name"
+            tokens.append(Token(kind, text, span))
     end = SourceSpan(len(lines), len(lines[-1]) + 1, len(lines), len(lines[-1]) + 1)
     tokens.append(Token("eof", "", end))
     return tokens
@@ -211,41 +181,37 @@ class _Parser:
             self.next()
             name, span = self.name()
             self.expect("(")
-            params: list[tuple[Name, Term]] = []
-            seen: set[Name] = set()
+            params: dict[Name, Term] = {}
             while self.peek().kind != ")":
                 if params:
                     self.expect(",")
                 pname, pspan = self.name()
-                if pname in seen:
+                if pname in params:
                     _parse_error(f"duplicate parameter {pname}", pspan)
-                seen.add(pname)
                 self.expect(":")
-                params.append((pname, self.expr()))
+                params[pname] = self.expr()
             self.expect(")")
             self.expect(":")
             result_type = self.expr()
             self.expect("{")
             body = self.expr()
             self.expect("}")
-            return DefDecl(name, tuple(params), result_type, body, span)
+            return DefDecl(name, tuple(params.items()), result_type, body, span)
         if tok.kind == "Inductive":
             self.next()
             name, span = self.name()
             self.expect(":")
             arity = self.expr()
             self.expect(":=")
-            ctors: list[tuple[Name, Term]] = []
-            seen = set()
+            ctors: dict[Name, Term] = {}
             while self.peek().kind == "|":
                 self.next()
                 cname, cspan = self.name()
-                if cname in seen:
+                if cname in ctors:
                     _parse_error(f"duplicate constructor {cname}", cspan)
-                seen.add(cname)
                 self.expect(":")
-                ctors.append((cname, self.expr()))
-            return InductiveDeclSrc(name, arity, tuple(ctors), span)
+                ctors[cname] = self.expr()
+            return InductiveDeclSrc(name, arity, tuple(ctors.items()), span)
         shown = tok.value or tok.kind
         _parse_error(f"expected a declaration, found '{shown}'", tok.span)
 
@@ -307,21 +273,19 @@ class _Parser:
         scrutinee = self.expr()
         self.expect("with")
         self.expect("{")
-        branches: list[tuple[Name, Term]] = []
-        seen: set[Name] = set()
+        branches: dict[Name, Term] = {}
         while self.peek().kind != "}":
             if branches:
                 self.expect(";")
                 if self.peek().kind == "}":
                     break
             cname, cspan = self.branch_pattern()
-            if cname in seen:
+            if cname in branches:
                 _parse_error(f"duplicate branch for constructor {cname}", cspan)
-            seen.add(cname)
             self.expect("=>")
-            branches.append((cname, self.expr()))
+            branches[cname] = self.expr()
         self.expect("}")
-        return Match(_carrier_to_abstraction(carrier), scrutinee, tuple(branches),
+        return Match(_carrier_to_abstraction(carrier), scrutinee, tuple(branches.items()),
                      span=start.span)
 
     def branch_pattern(self) -> tuple[Name, SourceSpan]:

@@ -9,7 +9,8 @@ subterm that does not mention the substituted name.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, itemgetter
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,58 @@ def apply_spine(head: Term, args) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# Binding structure
+# ---------------------------------------------------------------------------
+
+BINDER, OUTSIDE, INSIDE, DATA = "binder", "outside", "inside", "data"
+
+# Each compound node's fields but the span, with their roles: the name the
+# node binds, a subterm outside or inside that binder's scope, or data. In a
+# tuple of (name, term) pairs the names are data. The binder precedes its
+# scope. Substitution handles the fields in this order, which fixes the
+# order in which it draws fresh names.
+BINDING: dict[type, tuple[tuple[str, str], ...]] = {
+    App: (("fn", OUTSIDE), ("arg", OUTSIDE)),
+    Lam: (("binder", BINDER), ("domain", OUTSIDE), ("body", INSIDE)),
+    Pi: (("binder", BINDER), ("domain", OUTSIDE), ("body", INSIDE)),
+    Ind: (("arity", OUTSIDE), ("name", BINDER), ("constructors", INSIDE)),
+    Constr: (("index", DATA), ("inductive", OUTSIDE)),
+    Match: (("carrier", OUTSIDE), ("scrutinee", OUTSIDE), ("branches", OUTSIDE)),
+    Fix: (("dec_index", DATA), ("signature", OUTSIDE), ("name", BINDER), ("body", INSIDE)),
+}
+
+
+def _shape(kind: type):
+    """kind's roles in table order, a getter of its field values in that
+    order, and a getter that reorders such values into constructor order."""
+    names = [name for name, _ in BINDING[kind]]
+    params = [f.name for f in fields(kind) if f.name != "span"]
+    roles = tuple(role for _, role in BINDING[kind])
+    return roles, attrgetter(*names), itemgetter(*map(names.index, params))
+
+
+_SHAPES = {kind: _shape(kind) for kind in BINDING}
+
+
+def _terms(value) -> tuple:
+    """The subterms a field holds: its term, or the terms of its pairs."""
+    if type(value) is tuple:
+        return tuple(term for _, term in value)
+    return (value,)
+
+
+def children(t: Term, roles=(OUTSIDE, INSIDE)) -> list[Term]:
+    """The subterms of t in fields of the given roles, in table order."""
+    subterms: list[Term] = []
+    if type(t) in _SHAPES:  # a variable or universe has none
+        kinds, values, _ = _SHAPES[type(t)]
+        for role, value in zip(kinds, values(t)):
+            if role in roles:
+                subterms.extend(_terms(value))
+    return subterms
+
+
+# ---------------------------------------------------------------------------
 # Free variables
 # ---------------------------------------------------------------------------
 
@@ -167,29 +220,23 @@ def free_vars(t: Term) -> frozenset[Name]:
     fv = memo.get("_free_vars")
     if fv is not None:
         return fv
-    match t:
-        case Var(name=n):
-            fv = frozenset((n,))
-        case Universe():
-            fv = frozenset()
-        case Lam(binder=x, domain=d, body=b) | Pi(binder=x, domain=d, body=b):
-            fv = free_vars(d) | (free_vars(b) - {x})
-        case App(fn=f, arg=a):
-            fv = free_vars(f) | free_vars(a)
-        case Ind(name=n, arity=a, constructors=cs):
-            fv = free_vars(a)
-            for _, ct in cs:
-                fv |= free_vars(ct) - {n}
-        case Constr(inductive=i):
-            fv = free_vars(i)
-        case Match(carrier=c, scrutinee=s, branches=bs):
-            fv = free_vars(c) | free_vars(s)
-            for _, body in bs:
-                fv |= free_vars(body)
-        case Fix(name=n, signature=s, body=b):
-            fv = free_vars(s) | (free_vars(b) - {n})
-        case _:
-            raise TypeError(f"not a term: {t!r}")
+    kind = type(t)
+    if kind is Var:
+        fv = frozenset((t.name,))
+    elif kind is Universe:
+        fv = frozenset()
+    else:
+        roles, values, _ = _SHAPES[kind]
+        fv, bound = frozenset(), ()
+        for role, value in zip(roles, values(t)):
+            if role is OUTSIDE and type(value) is not tuple:  # the common case, kept fast
+                fv |= free_vars(value)
+            elif role is BINDER:
+                bound = (value,)
+            elif role is not DATA:
+                for sub in _terms(value):
+                    names = free_vars(sub)
+                    fv |= names.difference(bound) if role is INSIDE else names
     memo["_free_vars"] = fv
     return fv
 
@@ -208,37 +255,28 @@ def _subst_all(sigma: dict[Name, Term], t: Term) -> Term:
     name of sigma is free comes back as the same object, span included."""
     if sigma.keys().isdisjoint(free_vars(t)):
         return t
-    match t:
-        case Var(name=n):
-            return sigma[n]
-        case Lam(binder=y, domain=d, body=b):
-            y, inner = _under_binder(sigma, y, b)
-            return Lam(y, _subst_all(sigma, d), _subst_all(inner, b))
-        case Pi(binder=y, domain=d, body=b):
-            y, inner = _under_binder(sigma, y, b)
-            return Pi(y, _subst_all(sigma, d), _subst_all(inner, b))
-        case App(fn=f, arg=a):
-            return App(_subst_all(sigma, f), _subst_all(sigma, a))
-        case Ind(name=n, arity=a, constructors=cs):
-            arity = _subst_all(sigma, a)
-            n, inner = _under_binder(sigma, n, *(ct for _, ct in cs))
-            return Ind(n, arity, tuple((cn, _subst_all(inner, ct)) for cn, ct in cs))
-        case Constr(index=i, inductive=ind):
-            return Constr(i, _subst_all(sigma, ind))
-        case Match(carrier=c, scrutinee=m, branches=bs):
-            return Match(
-                _subst_all(sigma, c),
-                _subst_all(sigma, m),
-                tuple((cn, _subst_all(sigma, body)) for cn, body in bs),
-            )
-        case Fix(name=n, dec_index=k, signature=sig, body=b):
-            sig = _subst_all(sigma, sig)
-            n, inner = _under_binder(sigma, n, b)
-            return Fix(n, k, sig, _subst_all(inner, b))
-    raise TypeError(f"not a term: {t!r}")
+    kind = type(t)
+    if kind is Var:
+        return sigma[t.name]
+    roles, values, params = _SHAPES[kind]
+    args = list(values(t))
+    for i, role in enumerate(roles):
+        value = args[i]
+        if role is BINDER:
+            args[i], inner = _under_binder(sigma, value, children(t, (INSIDE,)))
+        elif role is not DATA:
+            scope = sigma if role is OUTSIDE else inner
+            if type(value) is tuple:
+                pairs = []
+                for name, sub in value:
+                    pairs.append((name, _subst_all(scope, sub)))
+                args[i] = tuple(pairs)
+            else:
+                args[i] = _subst_all(scope, value)
+    return kind(*params(args))
 
 
-def _under_binder(sigma: dict[Name, Term], binder: Name, *scope: Term):
+def _under_binder(sigma: dict[Name, Term], binder: Name, scope: list[Term]):
     """The binder and substitution to use in its scope: drop the names it
     shadows or the scope does not mention, and rename the binder to a fresh
     name when it would capture a free variable of a replacement."""
@@ -260,52 +298,30 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def _aeq(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
-    match a, b:
-        case Var(name=x), Var(name=y):
-            lx, ly = ea.get(x), eb.get(y)
-            if lx is None and ly is None:
-                return x == y
-            return lx == ly
-        case Universe(level=i), Universe(level=j):
-            return i == j
-        case (Lam(binder=x, domain=da, body=ba), Lam(binder=y, domain=db, body=bb)) | (
-            Pi(binder=x, domain=da, body=ba), Pi(binder=y, domain=db, body=bb)
-        ):
-            if type(a) is not type(b):
+    """ea and eb map each bound name to the depth of its binder."""
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is Var:  # bound by binders at the same depth, or free and the same name
+        lx, ly = ea.get(a.name), eb.get(b.name)
+        return lx == ly and (lx is not None or a.name == b.name)
+    if kind is Universe:
+        return a.level == b.level
+    roles, values, _ = _SHAPES[kind]
+    for role, u, v in zip(roles, values(a), values(b)):
+        if role is BINDER:
+            inner_a, inner_b = {**ea, u: depth}, {**eb, v: depth}
+        elif role is DATA:
+            if u != v:
                 return False
-            if not _aeq(da, db, ea, eb, depth):
+        else:
+            env_a, env_b, d = (ea, eb, depth) if role is OUTSIDE else (inner_a, inner_b, depth + 1)
+            if type(u) is tuple and [x for x, _ in u] != [y for y, _ in v]:
                 return False
-            return _aeq(ba, bb, {**ea, x: depth}, {**eb, y: depth}, depth + 1)
-        case App(fn=fa, arg=aa), App(fn=fb, arg=ab):
-            return _aeq(fa, fb, ea, eb, depth) and _aeq(aa, ab, ea, eb, depth)
-        case Ind(name=na, arity=aa, constructors=ca), Ind(name=nb, arity=ab, constructors=cb):
-            if len(ca) != len(cb) or not _aeq(aa, ab, ea, eb, depth):
-                return False
-            ea2, eb2 = {**ea, na: depth}, {**eb, nb: depth}
-            for (cn_a, ct_a), (cn_b, ct_b) in zip(ca, cb):
-                if cn_a != cn_b or not _aeq(ct_a, ct_b, ea2, eb2, depth + 1):
+            for x, y in zip(_terms(u), _terms(v)):
+                if not _aeq(x, y, env_a, env_b, d):
                     return False
-            return True
-        case Constr(index=ia, inductive=ta), Constr(index=ib, inductive=tb):
-            return ia == ib and _aeq(ta, tb, ea, eb, depth)
-        case Match(carrier=ca, scrutinee=sa, branches=ba), Match(
-            carrier=cb, scrutinee=sb, branches=bb
-        ):
-            if len(ba) != len(bb):
-                return False
-            if not (_aeq(ca, cb, ea, eb, depth) and _aeq(sa, sb, ea, eb, depth)):
-                return False
-            return all(
-                na == nb and _aeq(ta, tb, ea, eb, depth)
-                for (na, ta), (nb, tb) in zip(ba, bb)
-            )
-        case Fix(name=na, dec_index=ka, signature=sa, body=ba), Fix(
-            name=nb, dec_index=kb, signature=sb, body=bb
-        ):
-            if ka != kb or not _aeq(sa, sb, ea, eb, depth):
-                return False
-            return _aeq(ba, bb, {**ea, na: depth}, {**eb, nb: depth}, depth + 1)
-    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +330,7 @@ def _aeq(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
 
 def pretty(t: Term) -> str:
     match t:
-        case Var(name=n):
+        case Var(name=n) | Ind(name=n):
             return str(n)
         case Universe(level=0):
             return "Set"
@@ -330,8 +346,6 @@ def pretty(t: Term) -> str:
             head, args = spine(t)
             parts = " ".join(pretty(u) for u in (head, *args))
             return f"({parts})"
-        case Ind(name=n):
-            return str(n)
         case Constr(index=i, inductive=ind):
             if isinstance(ind, Ind) and 1 <= i <= len(ind.constructors):
                 return str(ind.constructors[i - 1][0])

@@ -3,22 +3,9 @@ from __future__ import annotations
 
 from .context import Context
 from .normalize import check_equal, normalise
-from .syntax import (
-    App,
-    Constr,
-    Fix,
-    Ind,
-    Lam,
-    Match,
-    Name,
-    Pi,
-    Term,
-    Universe,
-    Var,
-    free_vars,
-    spine,
-)
-from .typecheck import CheckError, ensure_universe, fail, type_check
+from .diagnostics import CheckError, fail
+from .syntax import App, Fix, Lam, Match, Name, Term, Var, children, free_vars, spine
+from .typecheck import ensure_universe, type_check
 
 
 def leading_lambda_binders(t: Term) -> list[Name]:
@@ -48,6 +35,7 @@ def guard_check(f: Name, k: int, xk: Name, guarded: frozenset[Name], e: Term) ->
             for _, body in bs:
                 inner = guarded | set(leading_lambda_binders(body))
                 guard_check(f, k, xk, inner, body)
+            return
         case App():
             head, args = spine(e)
             if isinstance(head, Var) and head.name == f:
@@ -63,31 +51,9 @@ def guard_check(f: Name, k: int, xk: Name, guarded: frozenset[Name], e: Term) ->
                         f"argument {k} of a recursive call to {f} is not a variable "
                         "obtained by deconstructing the decreasing argument",
                     )
-            else:
-                guard_check(f, k, xk, guarded, e.fn)
-                guard_check(f, k, xk, guarded, e.arg)
-        case _:
-            for sub in _children(e):
-                guard_check(f, k, xk, guarded, sub)
-
-
-def _children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Lam(domain=d, body=b) | Pi(domain=d, body=b):
-            return (d, b)
-        case App(fn=f, arg=a):
-            return (f, a)
-        case Match(carrier=c, scrutinee=m, branches=bs):
-            return (c, m, *(body for _, body in bs))
-        case Fix(signature=s, body=b):
-            return (s, b)
-        case Ind(arity=a, constructors=cs):
-            return (a, *(ct for _, ct in cs))
-        case Constr(inductive=i):
-            return (i,)
-        case Var() | Universe():
-            return ()
-    raise TypeError(f"not a term: {t!r}")
+                return
+    for sub in children(e):
+        guard_check(f, k, xk, guarded, sub)
 
 
 def check_fix(ctxt: Context, fix: Fix) -> Term:

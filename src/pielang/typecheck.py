@@ -4,7 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .context import Context
+from .diagnostics import CheckError, Diagnostic, fail
 from .normalize import BudgetExceeded, check_equal, normalise
+from .parser import AxiomDecl, DefDecl, InductiveDeclSrc, desugar_def
 from .syntax import (
     App,
     Constr,
@@ -14,41 +16,12 @@ from .syntax import (
     Match,
     Name,
     Pi,
-    SourceSpan,
     Term,
     Universe,
     Var,
-    pretty,
     reset_fresh_names,
     subst,
 )
-
-
-@dataclass
-class Diagnostic:
-    rule: str  # T-Var | T-Abs | T-PI | T-Univ | T-App | T-Ind | T-Constr | T-Match | T-Fix | Guard | Parse | Budget
-    message: str
-    span: SourceSpan | None = None
-    expected: Term | None = None
-    actual: Term | None = None
-    severity: str = "error"
-
-    def render(self, file: str = "<input>") -> str:
-        loc = f"{file}:{self.span}" if self.span is not None else file
-        msg = self.message
-        if self.expected is not None and self.actual is not None:
-            msg += f" (expected {pretty(self.expected)}, got {pretty(self.actual)})"
-        return f"{self.severity}[{self.rule}] {loc}: {msg}"
-
-
-class CheckError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.message)
-        self.diagnostic = diagnostic
-
-
-def fail(rule: str, message: str, span=None, expected=None, actual=None):
-    raise CheckError(Diagnostic(rule, message, span, expected, actual))
 
 
 def type_check(ctxt: Context, e: Term) -> Term:
@@ -123,8 +96,6 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
     """Fold a parsed program declaration by declaration. A failing
     declaration contributes a diagnostic; later ones still check against
     the context built from the earlier successes."""
-    from .parser import AxiomDecl, DefDecl, InductiveDeclSrc, desugar_def
-
     reset_fresh_names()
     ctxt = initial if initial is not None else Context()
     result = ElabResult(ctxt)

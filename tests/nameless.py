@@ -99,3 +99,23 @@ def nameless_subst(target: tuple[str, int], replacement, t):
 def oracle_subst(x: Name, s: Term, t: Term):
     """What subst(x, s, t) should convert to, per the oracle."""
     return nameless_subst(_key(x), to_nameless(s), to_nameless(t))
+
+
+def nameless_free(t) -> set[tuple[str, int]]:
+    """The keys of the free names in the tuple encoding."""
+    match t:
+        case ("f", key):
+            return {key}
+        case ("b", _) | ("u", _):
+            return set()
+        case ("lam", d, b) | ("pi", d, b) | ("app", d, b):
+            return nameless_free(d) | nameless_free(b)
+        case ("ind", a, cs):
+            return nameless_free(a).union(*(nameless_free(ct) for _, ct in cs))
+        case ("constr", _, ind):
+            return nameless_free(ind)
+        case ("match", c, s, bs):
+            return nameless_free(c).union(nameless_free(s), *(nameless_free(bb) for _, bb in bs))
+        case ("fix", _, s, b):
+            return nameless_free(s) | nameless_free(b)
+    raise TypeError(f"not a nameless term: {t!r}")

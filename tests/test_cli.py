@@ -1,7 +1,10 @@
 """Command-line checker: reports, exit codes, corpus bundle."""
 from __future__ import annotations
 
+import threading
+
 from conftest import corpus_source
+from pielang import Context
 from pielang.cli import (
     NEGATIVE_CORPUS,
     POSITIVE_CORPUS,
@@ -47,6 +50,34 @@ class TestCheckSource:
         assert starved.diagnostics[0].rule == "Budget"
         later = check_source(corpus_source("appendix_c.pie"), "appendix_c.pie")
         assert later.exit_code == 0, later.lines()
+
+    def test_budget_stays_with_its_own_thread(self, monkeypatch):
+        # The starved check pauses at its first declaration, outside
+        # normalisation, while the main thread checks with the default budget.
+        source = corpus_source("appendix_c.pie")
+        paused, resume = threading.Event(), threading.Event()
+        declare = Context.declare
+
+        def pausing_declare(ctxt, *args):
+            if threading.current_thread() is starved_thread and not paused.is_set():
+                paused.set()
+                resume.wait(timeout=30)
+            return declare(ctxt, *args)
+
+        monkeypatch.setattr(Context, "declare", pausing_declare)
+        reports = []
+        starved_thread = threading.Thread(
+            target=lambda: reports.append(check_source(source, "appendix_c.pie", budget=7))
+        )
+        starved_thread.start()
+        try:
+            assert paused.wait(timeout=30)
+            later = check_source(source, "appendix_c.pie")
+        finally:
+            resume.set()
+            starved_thread.join(timeout=30)
+        assert later.exit_code == 0, later.lines()
+        assert [r.diagnostics[0].rule for r in reports] == ["Budget"]
 
     def test_prelude_supplies_void(self):
         source = "Axiom absurd : Void -> Set;"

@@ -1,14 +1,20 @@
 """Term-level operations: free variables, substitution, alpha equivalence."""
 from __future__ import annotations
 
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from nameless import oracle_subst, to_nameless
+from nameless import nameless_free, oracle_subst, to_nameless
 from pielang import (
     App,
+    Constr,
+    Fix,
+    Ind,
     Lam,
+    Match,
     Name,
     Pi,
+    Term,
     Universe,
     Var,
     alpha_eq,
@@ -17,7 +23,8 @@ from pielang import (
     pretty,
     subst,
 )
-from strategies import lambda_terms, names, terms
+from pielang.syntax import BINDING
+from strategies import ctor_labels, lambda_terms, names, terms
 
 x, y, z = Name("x"), Name("y"), Name("z")
 
@@ -36,6 +43,15 @@ class TestFreeVars:
 
     def test_universe_is_closed(self):
         assert free_vars(Universe(3)) == frozenset()
+
+    @given(terms)
+    @settings(max_examples=200)
+    def test_matches_nameless_oracle(self, t):
+        assert {(n.text, n.fresh_tag) for n in free_vars(t)} == nameless_free(to_nameless(t))
+
+
+def test_binding_table_covers_every_compound_term():
+    assert {*BINDING, Var, Universe} == set(Term.__subclasses__())
 
 
 class TestSubst:
@@ -82,6 +98,9 @@ class TestAlphaEq:
     def test_bound_and_free_do_not_mix(self):
         assert not alpha_eq(parse_term("λx:Set.x"), parse_term("λy:Set.x"))
 
+    def test_nested_binders_keep_their_depth(self):
+        assert not alpha_eq(parse_term("λx:Set.λy:Set.x"), parse_term("λx:Set.λy:Set.y"))
+
     def test_pi_and_lam_differ(self):
         assert not alpha_eq(parse_term("λx:Set.x"), parse_term("Πx:Set.x"))
 
@@ -95,6 +114,18 @@ class TestAlphaEq:
     def test_symmetric(self, a, b):
         assert alpha_eq(a, b) == alpha_eq(b, a)
 
+    @given(terms, terms)
+    @settings(max_examples=300)
+    def test_matches_nameless_oracle(self, a, b):
+        assert alpha_eq(a, b) == (to_nameless(a) == to_nameless(b))
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_near_copies_match_nameless_oracle(self, data):
+        a = data.draw(terms)
+        b = _near_copy(a, lambda name, pool: data.draw(st.sampled_from((name,)) | pool))
+        assert alpha_eq(a, b) == (to_nameless(a) == to_nameless(b))
+
     @given(lambda_terms)
     @settings(max_examples=200)
     def test_transitive_through_a_renamed_copy(self, t):
@@ -103,6 +134,29 @@ class TestAlphaEq:
         assert alpha_eq(t, renamed)
         assert alpha_eq(renamed, again)
         assert alpha_eq(t, again)
+
+
+def _near_copy(t, redraw):
+    """A copy of t in which redraw(name, pool) may replace each binder,
+    variable, constructor and branch name."""
+    match t:
+        case Var(name=n):
+            return Var(redraw(n, names))
+        case Lam(binder=x, domain=d, body=b) | Pi(binder=x, domain=d, body=b):
+            return type(t)(redraw(x, names), _near_copy(d, redraw), _near_copy(b, redraw))
+        case App(fn=f, arg=a):
+            return App(_near_copy(f, redraw), _near_copy(a, redraw))
+        case Ind(name=n, arity=a, constructors=cs):
+            ctors = tuple((redraw(c, ctor_labels), _near_copy(ct, redraw)) for c, ct in cs)
+            return Ind(redraw(n, names), _near_copy(a, redraw), ctors)
+        case Constr(index=i, inductive=ind):
+            return Constr(i, _near_copy(ind, redraw))
+        case Match(carrier=c, scrutinee=s, branches=bs):
+            branches = tuple((redraw(bn, ctor_labels), _near_copy(bb, redraw)) for bn, bb in bs)
+            return Match(_near_copy(c, redraw), _near_copy(s, redraw), branches)
+        case Fix(name=n, dec_index=k, signature=s, body=b):
+            return Fix(redraw(n, names), k, _near_copy(s, redraw), _near_copy(b, redraw))
+    return t
 
 
 def _rename_all(t, counter):
