@@ -183,20 +183,12 @@ BINDING: dict[type, tuple[tuple[str, str], ...]] = {
 def _shape(kind: type):
     """kind's roles in table order, a getter of its field values in that
     order, and a getter that reorders such values into constructor order."""
-    names = [name for name, _ in BINDING[kind]]
+    names, roles = zip(*BINDING[kind])
     params = [f.name for f in fields(kind) if f.name != "span"]
-    roles = tuple(role for _, role in BINDING[kind])
     return roles, attrgetter(*names), itemgetter(*map(names.index, params))
 
 
 _SHAPES = {kind: _shape(kind) for kind in BINDING}
-
-
-def _terms(value) -> tuple:
-    """The subterms a field holds: its term, or the terms of its pairs."""
-    if type(value) is tuple:
-        return tuple(term for _, term in value)
-    return (value,)
 
 
 def children(t: Term, roles=(OUTSIDE, INSIDE)) -> list[Term]:
@@ -206,7 +198,10 @@ def children(t: Term, roles=(OUTSIDE, INSIDE)) -> list[Term]:
         kinds, values, _ = _SHAPES[type(t)]
         for role, value in zip(kinds, values(t)):
             if role in roles:
-                subterms.extend(_terms(value))
+                if type(value) is tuple:
+                    subterms.extend([sub for _, sub in value])
+                else:
+                    subterms.append(value)
     return subterms
 
 
@@ -233,8 +228,8 @@ def free_vars(t: Term) -> frozenset[Name]:
                 fv |= free_vars(value)
             elif role is BINDER:
                 bound = (value,)
-            elif role is not DATA:
-                for sub in _terms(value):
+            elif role is not DATA:  # a term, or (name, term) pairs
+                for _, sub in value if type(value) is tuple else ((None, value),):
                     names = free_vars(sub)
                     fv |= names.difference(bound) if role is INSIDE else names
     memo["_free_vars"] = fv
@@ -259,20 +254,22 @@ def _subst_all(sigma: dict[Name, Term], t: Term) -> Term:
     if kind is Var:
         return sigma[t.name]
     roles, values, params = _SHAPES[kind]
-    args = list(values(t))
-    for i, role in enumerate(roles):
-        value = args[i]
-        if role is BINDER:
-            args[i], inner = _under_binder(sigma, value, children(t, (INSIDE,)))
+    args = []
+    for role, value in zip(roles, values(t)):
+        if role is OUTSIDE and type(value) is not tuple:  # the common case, kept fast
+            value = _subst_all(sigma, value)
+        elif role is BINDER:
+            value, inner = _under_binder(sigma, value, children(t, (INSIDE,)))
         elif role is not DATA:
             scope = sigma if role is OUTSIDE else inner
             if type(value) is tuple:
                 pairs = []
                 for name, sub in value:
                     pairs.append((name, _subst_all(scope, sub)))
-                args[i] = tuple(pairs)
+                value = tuple(pairs)
             else:
-                args[i] = _subst_all(scope, value)
+                value = _subst_all(scope, value)
+        args.append(value)
     return kind(*params(args))
 
 
@@ -316,10 +313,12 @@ def _aeq(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
                 return False
         else:
             env_a, env_b, d = (ea, eb, depth) if role is OUTSIDE else (inner_a, inner_b, depth + 1)
-            if type(u) is tuple and [x for x, _ in u] != [y for y, _ in v]:
+            if type(u) is not tuple:
+                u, v = ((None, u),), ((None, v),)  # one subterm, as a pair without a name
+            elif len(u) != len(v):
                 return False
-            for x, y in zip(_terms(u), _terms(v)):
-                if not _aeq(x, y, env_a, env_b, d):
+            for (x, s), (y, w) in zip(u, v):
+                if x != y or not _aeq(s, w, env_a, env_b, d):
                     return False
     return True
 

@@ -38,20 +38,22 @@ def guard_check(f: Name, k: int, xk: Name, guarded: frozenset[Name], e: Term) ->
             return
         case App():
             head, args = spine(e)
-            if isinstance(head, Var) and head.name == f:
-                for a in args:
-                    guard_check(f, k, xk, guarded, a)
-                if not (
-                    len(args) > k
-                    and isinstance(args[k], Var)
-                    and args[k].name in guarded
-                ):
-                    fail(
-                        "Guard",
-                        f"argument {k} of a recursive call to {f} is not a variable "
-                        "obtained by deconstructing the decreasing argument",
-                    )
-                return
+            call = isinstance(head, Var) and head.name == f
+            if not call:
+                guard_check(f, k, xk, guarded, head)
+            for a in args:
+                guard_check(f, k, xk, guarded, a)
+            if call and not (
+                len(args) > k
+                and isinstance(args[k], Var)
+                and args[k].name in guarded
+            ):
+                fail(
+                    "Guard",
+                    f"argument {k} of a recursive call to {f} is not a variable "
+                    "obtained by deconstructing the decreasing argument",
+                )
+            return
     for sub in children(e):
         guard_check(f, k, xk, guarded, sub)
 
