@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagnostics import CheckError, Diagnostic
+from .diagnostics import fail
 from .syntax import (
     App,
     Fix,
@@ -91,8 +91,8 @@ class Token:
 
 
 # One alternative per token class, tried in order at each position. Every
-# character but whitespace starts one of them, so the positions `finditer`
-# passes over are exactly the whitespace (`\s` is `str.isspace`).
+# character but whitespace starts one of them, so the positions a search
+# skips are exactly the whitespace (`\s` is `str.isspace`).
 _TOKEN = re.compile(
     r"(?P<arrow>->|→)"
     r"|(?P<punct>=>|:=|[(){}<>;,.:|λΠ])"
@@ -103,21 +103,21 @@ _TOKEN = re.compile(
 _STRAY = {"-": "stray '-' (expected '->')", "=": "stray '=' (expected '=>' or ':=')"}
 
 
-def _parse_error(message: str, span: SourceSpan):
-    raise CheckError(Diagnostic("Parse", message, span))
-
-
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     lines = source.split("\n")
     for lineno, line in enumerate(lines, start=1):
         if line.lstrip().startswith("--"):
             continue
-        for m in _TOKEN.finditer(line):
-            kind, text = m.lastgroup, m.group()
-            span = SourceSpan(lineno, m.start() + 1, lineno, m.end())
+        # a search loop, not finditer: on CPython 3.11.7 finditer here left small
+        # blocks behind that pinned memory arenas, so repeated checks of long
+        # files kept growing the process
+        pos = 0
+        while (m := _TOKEN.search(line, pos)) is not None:
+            kind, text, pos = m.lastgroup, m.group(), m.end()
+            span = SourceSpan(lineno, m.start() + 1, lineno, pos)
             if kind == "stray":
-                _parse_error(_STRAY[text], span)
+                fail("Parse", _STRAY[text], span)
             if kind == "arrow":
                 kind = text = "->"
             elif kind == "punct" or text in KEYWORDS:
@@ -151,7 +151,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind != kind:
             shown = tok.value or tok.kind
-            _parse_error(f"expected '{kind}', found '{shown}'", tok.span)
+            fail("Parse", f"expected '{kind}', found '{shown}'", tok.span)
         return self.next()
 
     def name(self) -> tuple[Name, SourceSpan]:
@@ -167,7 +167,7 @@ class _Parser:
             if self.peek().kind == ";":
                 self.next()
             elif self.peek().kind != "eof":
-                _parse_error("expected ';' between declarations", self.peek().span)
+                fail("Parse", "expected ';' between declarations", self.peek().span)
         return Program(decls, source_name)
 
     def decl(self) -> Decl:
@@ -187,7 +187,7 @@ class _Parser:
                     self.expect(",")
                 pname, pspan = self.name()
                 if pname in params:
-                    _parse_error(f"duplicate parameter {pname}", pspan)
+                    fail("Parse", f"duplicate parameter {pname}", pspan)
                 self.expect(":")
                 params[pname] = self.expr()
             self.expect(")")
@@ -208,12 +208,12 @@ class _Parser:
                 self.next()
                 cname, cspan = self.name()
                 if cname in ctors:
-                    _parse_error(f"duplicate constructor {cname}", cspan)
+                    fail("Parse", f"duplicate constructor {cname}", cspan)
                 self.expect(":")
                 ctors[cname] = self.expr()
             return InductiveDeclSrc(name, arity, tuple(ctors.items()), span)
         shown = tok.value or tok.kind
-        _parse_error(f"expected a declaration, found '{shown}'", tok.span)
+        fail("Parse", f"expected a declaration, found '{shown}'", tok.span)
 
     # -- expressions ---------------------------------------------------
 
@@ -263,7 +263,7 @@ class _Parser:
         if tok.kind in ("λ", "lam", "Π", "Pi"):
             return self.expr()
         shown = tok.value or tok.kind
-        _parse_error(f"expected an expression, found '{shown}'", tok.span)
+        fail("Parse", f"expected an expression, found '{shown}'", tok.span)
 
     def match_expr(self) -> Term:
         start = self.expect("<")
@@ -281,7 +281,7 @@ class _Parser:
                     break
             cname, cspan = self.branch_pattern()
             if cname in branches:
-                _parse_error(f"duplicate branch for constructor {cname}", cspan)
+                fail("Parse", f"duplicate branch for constructor {cname}", cspan)
             self.expect("=>")
             branches[cname] = self.expr()
         self.expect("}")
