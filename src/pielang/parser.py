@@ -17,28 +17,19 @@ Grammar (fixed from the surface forms the corpus uses):
 
 `lam` and `Pi` are accepted for `λ` and `Π`, `→` for `->`. Identifiers are
 any other run of non-delimiter characters (so `⊃` is an ordinary name).
-Lines starting with `--` are skipped.
+Lines starting with `--` are skipped. A token is a named tuple of its kind,
+value, line and columns; the parser builds a token's `SourceSpan` only when
+it attaches one to a term, a declaration or a diagnostic.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import fail
-from .syntax import (
-    App,
-    Fix,
-    Lam,
-    Match,
-    Name,
-    Pi,
-    SourceSpan,
-    Term,
-    Universe,
-    Var,
-    free_vars,
-    fresh_name,
-)
+from .syntax import App, Fix, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var
+from .syntax import free_vars, fresh_name
 
 
 @dataclass(frozen=True)
@@ -76,35 +67,38 @@ class Program:
 
 PRELUDE = "Axiom Void : Set; Axiom Null : Void;"
 
-KEYWORDS = {"Axiom", "def", "Inductive", "match", "with", "Set", "Prop", "Type", "lam", "Pi"}
-
 
 # ---------------------------------------------------------------------------
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # punctuation itself, or 'name' / 'number' / keyword / 'eof'
     value: str
-    span: SourceSpan
+    line: int
+    col: int  # of the first character, 1-based
+    end: int  # column of the last character
+
+    @property
+    def span(self) -> SourceSpan:  # tuple.__new__ skips SourceSpan's Python __new__
+        return tuple.__new__(SourceSpan, (self.line, self.col, self.line, self.end))
 
 
-# One alternative per token class, tried in order at each position. Every
-# character but whitespace starts one of them, so the positions a search
-# skips are exactly the whitespace (`\s` is `str.isspace`).
-_TOKEN = re.compile(
-    r"(?P<arrow>->|→)"
-    r"|(?P<punct>=>|:=|[(){}<>;,.:|λΠ])"
-    r"|(?P<stray>[-=])"
-    r"|(?P<word>[^\s(){}<>;,.:|=λΠ→-]+)"
-)
+# Every character but whitespace starts a token, so the positions a search
+# skips are exactly the whitespace (`\s` is `str.isspace`). Two-character
+# punctuation comes first; a word holds no punctuation character.
+_TOKEN = re.compile(r"->|=>|:=|[(){}<>;,.:|λΠ→=-]|[^\s(){}<>;,.:|=λΠ→-]+")
+
+# The kind, and value, of every fixed text: punctuation, arrows and keywords.
+_KINDS = {t: t for t in ("->", "=>", ":=", *"(){}<>;,.:|λΠ", "Axiom", "def", "Inductive", "match",
+                         "with", "Set", "Prop", "Type", "lam", "Pi")} | {"→": "->"}
 
 _STRAY = {"-": "stray '-' (expected '->')", "=": "stray '=' (expected '=>' or ':=')"}
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
+    append, search, kinds, new = tokens.append, _TOKEN.search, _KINDS, tuple.__new__
     lines = source.split("\n")
     for lineno, line in enumerate(lines, start=1):
         if line.lstrip().startswith("--"):
@@ -113,20 +107,18 @@ def tokenize(source: str) -> list[Token]:
         # blocks behind that pinned memory arenas, so repeated checks of long
         # files kept growing the process
         pos = 0
-        while (m := _TOKEN.search(line, pos)) is not None:
-            kind, text, pos = m.lastgroup, m.group(), m.end()
-            span = SourceSpan(lineno, m.start() + 1, lineno, pos)
-            if kind == "stray":
-                fail("Parse", _STRAY[text], span)
-            if kind == "arrow":
-                kind = text = "->"
-            elif kind == "punct" or text in KEYWORDS:
-                kind = text
+        while (m := search(line, pos)) is not None:
+            text = m[0]
+            start, pos = m.span()
+            if (kind := kinds.get(text)) is not None:
+                text = kind  # '→' reads as '->'
+            elif text in _STRAY:
+                fail("Parse", _STRAY[text], SourceSpan(lineno, start + 1, lineno, pos))
             else:  # isdecimal, not isdigit: int() rejects '²', which is a name
                 kind = "number" if text.isdecimal() else "name"
-            tokens.append(Token(kind, text, span))
-    end = SourceSpan(len(lines), len(lines[-1]) + 1, len(lines), len(lines[-1]) + 1)
-    tokens.append(Token("eof", "", end))
+            append(new(Token, (kind, text, lineno, start + 1, pos)))  # skips Token's Python __new__
+    end = len(lines[-1]) + 1
+    append(Token("eof", "", len(lines), end, end))
     return tokens
 
 
@@ -136,23 +128,21 @@ def tokenize(source: str) -> list[Token]:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+        self.rest = iter(tokens)
+        self.tok = next(self.rest)  # the next token, an attribute on the hot paths
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+    def advance(self) -> Token:
+        tok = self.tok
+        self.tok = next(self.rest, tok)  # eof, the last token, repeats
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != kind:
             shown = tok.value or tok.kind
             fail("Parse", f"expected '{kind}', found '{shown}'", tok.span)
-        return self.next()
+        self.tok = next(self.rest, tok)
+        return tok
 
     def name(self) -> tuple[Name, SourceSpan]:
         tok = self.expect("name")
@@ -162,27 +152,27 @@ class _Parser:
 
     def program(self, source_name: str) -> Program:
         decls: list[Decl] = []
-        while self.peek().kind != "eof":
+        while self.tok.kind != "eof":
             decls.append(self.decl())
-            if self.peek().kind == ";":
-                self.next()
-            elif self.peek().kind != "eof":
-                fail("Parse", "expected ';' between declarations", self.peek().span)
+            if self.tok.kind == ";":
+                self.advance()
+            elif self.tok.kind != "eof":
+                fail("Parse", "expected ';' between declarations", self.tok.span)
         return Program(decls, source_name)
 
     def decl(self) -> Decl:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "Axiom":
-            self.next()
+            self.advance()
             name, span = self.name()
             self.expect(":")
             return AxiomDecl(name, self.expr(), span)
         if tok.kind == "def":
-            self.next()
+            self.advance()
             name, span = self.name()
             self.expect("(")
             params: dict[Name, Term] = {}
-            while self.peek().kind != ")":
+            while self.tok.kind != ")":
                 if params:
                     self.expect(",")
                 pname, pspan = self.name()
@@ -198,14 +188,14 @@ class _Parser:
             self.expect("}")
             return DefDecl(name, tuple(params.items()), result_type, body, span)
         if tok.kind == "Inductive":
-            self.next()
+            self.advance()
             name, span = self.name()
             self.expect(":")
             arity = self.expr()
             self.expect(":=")
             ctors: dict[Name, Term] = {}
-            while self.peek().kind == "|":
-                self.next()
+            while self.tok.kind == "|":
+                self.advance()
                 cname, cspan = self.name()
                 if cname in ctors:
                     fail("Parse", f"duplicate constructor {cname}", cspan)
@@ -218,9 +208,9 @@ class _Parser:
     # -- expressions ---------------------------------------------------
 
     def expr(self) -> Term:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind in ("λ", "lam", "Π", "Pi"):
-            self.next()
+            self.advance()
             binder, _ = self.name()
             self.expect(":")
             domain = self.expr()
@@ -229,18 +219,18 @@ class _Parser:
             node = Lam if tok.kind in ("λ", "lam") else Pi
             return node(binder, domain, body, span=tok.span)
         left = self.atom()
-        if self.peek().kind == "->":
-            arrow = self.next()
+        if self.tok.kind == "->":
+            arrow = self.advance()
             right = self.expr()
             return Pi(fresh_name("x"), left, right, span=arrow.span)
         return left
 
     def atom(self) -> Term:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "(":
-            self.next()
+            self.advance()
             parts = [self.expr()]
-            while self.peek().kind != ")":
+            while self.tok.kind != ")":
                 parts.append(self.expr())
             self.expect(")")
             term = parts[0]
@@ -248,15 +238,15 @@ class _Parser:
                 term = App(term, arg, span=tok.span)
             return term
         if tok.kind == "name":
-            self.next()
+            self.advance()
             return Var(Name(tok.value), span=tok.span)
         if tok.kind in ("Set", "Prop"):
-            self.next()
+            self.advance()
             return Universe(0, span=tok.span)
         if tok.kind == "Type":
-            self.next()
-            if self.peek().kind == "number":
-                return Universe(int(self.next().value), span=tok.span)
+            self.advance()
+            if self.tok.kind == "number":
+                return Universe(int(self.advance().value), span=tok.span)
             return Universe(1, span=tok.span)
         if tok.kind == "<":
             return self.match_expr()
@@ -274,10 +264,10 @@ class _Parser:
         self.expect("with")
         self.expect("{")
         branches: dict[Name, Term] = {}
-        while self.peek().kind != "}":
+        while self.tok.kind != "}":
             if branches:
                 self.expect(";")
-                if self.peek().kind == "}":
+                if self.tok.kind == "}":
                     break
             cname, cspan = self.branch_pattern()
             if cname in branches:
@@ -289,11 +279,11 @@ class _Parser:
                      span=start.span)
 
     def branch_pattern(self) -> tuple[Name, SourceSpan]:
-        if self.peek().kind == "(":
-            self.next()
+        if self.tok.kind == "(":
+            self.advance()
             cname, cspan = self.name()
-            while self.peek().kind == "name":  # argument names are ignored
-                self.next()
+            while self.tok.kind == "name":  # argument names are ignored
+                self.advance()
             self.expect(")")
             return cname, cspan
         return self.name()

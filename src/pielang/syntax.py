@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     start_line: int
     start_col: int
     end_line: int
@@ -24,11 +24,10 @@ class SourceSpan:
         return f"{self.start_line}:{self.start_col}"
 
 
-@dataclass(frozen=True)
-class Name:
-    """A variable name. fresh_tag == 0 means the name came from source text;
-    renamed binders carry a positive tag that never collides with source names.
-    """
+class Name(NamedTuple):
+    """A variable name; a named tuple, so hashing and comparing run in C.
+    fresh_tag == 0 means the name came from source text; renamed binders
+    carry a positive tag that never collides with source names."""
 
     text: str
     fresh_tag: int = 0
