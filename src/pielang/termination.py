@@ -4,7 +4,8 @@ from __future__ import annotations
 from .context import Context
 from .normalize import check_equal, normalise
 from .diagnostics import CheckError, fail
-from .syntax import App, Fix, Lam, Match, Name, Term, Var, children, free_vars, spine
+from .syntax import BINDER, BINDING, INSIDE, OUTSIDE, App, Fix, Lam, Match, Name, Term, Var
+from .syntax import children, free_vars, spine
 from .typecheck import ensure_universe, type_check
 
 
@@ -16,11 +17,12 @@ def leading_lambda_binders(t: Term) -> list[Name]:
     return binders
 
 
-def guard_check(f: Name, k: int, xk: Name, guarded: frozenset[Name], e: Term) -> None:
+def guard_check(f: Name, k: int, xk: Name | None, guarded: frozenset[Name], e: Term) -> None:
     """Every call to f must pass a deconstruction-bound variable in argument
     position k, and f must not escape as a value. guarded holds the variables
-    bound by matching on the decreasing argument (or on something already
-    guarded); it grows under such matches and nowhere else."""
+    bound by matching on the decreasing argument xk (or on something already
+    guarded); it grows under such matches. Inside a binder's scope, a name it
+    binds is no longer f, xk or guarded."""
     if f not in free_vars(e):
         return
     match e:
@@ -33,29 +35,37 @@ def guard_check(f: Name, k: int, xk: Name, guarded: frozenset[Name], e: Term) ->
             guard_check(f, k, xk, guarded, c)
             guard_check(f, k, xk, guarded, m)
             for _, body in bs:
-                inner = guarded | set(leading_lambda_binders(body))
+                inner = guarded
+                while isinstance(body, Lam) and body.binder != f:  # the constructor's arguments
+                    guard_check(f, k, xk, inner, body.domain)
+                    inner, body = inner | {body.binder}, body.body
                 guard_check(f, k, xk, inner, body)
             return
         case App():
             head, args = spine(e)
             call = isinstance(head, Var) and head.name == f
-            if not call:
-                guard_check(f, k, xk, guarded, head)
-            for a in args:
-                guard_check(f, k, xk, guarded, a)
-            if call and not (
-                len(args) > k
-                and isinstance(args[k], Var)
-                and args[k].name in guarded
-            ):
-                fail(
-                    "Guard",
-                    f"argument {k} of a recursive call to {f} is not a variable "
-                    "obtained by deconstructing the decreasing argument",
-                )
+            for sub in args if call else (head, *args):
+                guard_check(f, k, xk, guarded, sub)
+            if call and not (len(args) > k and isinstance(args[k], Var) and args[k].name in guarded):
+                fail("Guard", f"argument {k} of a recursive call to {f} is not a variable "
+                     "obtained by deconstructing the decreasing argument")
             return
-    for sub in children(e):
+    for sub in children(e, (OUTSIDE,)):
         guard_check(f, k, xk, guarded, sub)
+    for field, role in BINDING.get(type(e), ()):
+        if role is BINDER and (x := getattr(e, field)) != f:  # no call to f where it is hidden
+            for sub in children(e, (INSIDE,)):
+                guard_check(f, k, None if x == xk else xk, guarded - {x}, sub)
+
+
+def _guard_fix(f: Name, k: int, body: Term) -> None:
+    """guard_check of a fixpoint body whose k-th leading λ binds the decreasing argument."""
+    for _ in range(k + 1):
+        guard_check(f, k, None, frozenset(), body.domain)
+        if body.binder == f:  # f is hidden from here on
+            return
+        xk, body = body.binder, body.body
+    guard_check(f, k, xk, frozenset(), body)
 
 
 def check_fix(ctxt: Context, fix: Fix) -> Term:
@@ -77,16 +87,16 @@ def check_fix(ctxt: Context, fix: Fix) -> Term:
             f"decreasing-argument index {fix.dec_index} out of range for {fix.name}",
             fix.span,
         )
-    guard_check(fix.name, fix.dec_index, binders[fix.dec_index], frozenset(), fix.body)
+    _guard_fix(fix.name, fix.dec_index, fix.body)
     return fix.signature
 
 
 def infer_fix_index(name: Name, body: Term) -> int:
     """Smallest decreasing-argument index accepted by the guard predicate."""
     binders = leading_lambda_binders(body)
-    for k, xk in enumerate(binders):
+    for k in range(len(binders)):
         try:
-            guard_check(name, k, xk, frozenset(), body)
+            _guard_fix(name, k, body)
             return k
         except CheckError:
             continue
