@@ -162,14 +162,15 @@ class _Parser:
 
     def decl(self) -> Decl:
         tok = self.tok
+        if tok.kind not in ("Axiom", "def", "Inductive"):
+            shown = tok.value or tok.kind
+            fail("Parse", f"expected a declaration, found '{shown}'", tok.span)
+        self.advance()
+        name, span = self.name()
         if tok.kind == "Axiom":
-            self.advance()
-            name, span = self.name()
             self.expect(":")
             return AxiomDecl(name, self.expr(), span)
         if tok.kind == "def":
-            self.advance()
-            name, span = self.name()
             self.expect("(")
             params: dict[Name, Term] = {}
             while self.tok.kind != ")":
@@ -187,23 +188,18 @@ class _Parser:
             body = self.expr()
             self.expect("}")
             return DefDecl(name, tuple(params.items()), result_type, body, span)
-        if tok.kind == "Inductive":
+        self.expect(":")  # an Inductive
+        arity = self.expr()
+        self.expect(":=")
+        ctors: dict[Name, Term] = {}
+        while self.tok.kind == "|":
             self.advance()
-            name, span = self.name()
+            cname, cspan = self.name()
+            if cname in ctors:
+                fail("Parse", f"duplicate constructor {cname}", cspan)
             self.expect(":")
-            arity = self.expr()
-            self.expect(":=")
-            ctors: dict[Name, Term] = {}
-            while self.tok.kind == "|":
-                self.advance()
-                cname, cspan = self.name()
-                if cname in ctors:
-                    fail("Parse", f"duplicate constructor {cname}", cspan)
-                self.expect(":")
-                ctors[cname] = self.expr()
-            return InductiveDeclSrc(name, arity, tuple(ctors.items()), span)
-        shown = tok.value or tok.kind
-        fail("Parse", f"expected a declaration, found '{shown}'", tok.span)
+            ctors[cname] = self.expr()
+        return InductiveDeclSrc(name, arity, tuple(ctors.items()), span)
 
     # -- expressions ---------------------------------------------------
 
@@ -211,7 +207,7 @@ class _Parser:
         tok = self.tok
         if tok.kind in ("λ", "lam", "Π", "Pi"):
             self.advance()
-            binder, _ = self.name()
+            binder = Name(self.expect("name").value)
             self.expect(":")
             domain = self.expr()
             self.expect(".")
@@ -250,8 +246,6 @@ class _Parser:
             return Universe(1, span=tok.span)
         if tok.kind == "<":
             return self.match_expr()
-        if tok.kind in ("λ", "lam", "Π", "Pi"):
-            return self.expr()
         shown = tok.value or tok.kind
         fail("Parse", f"expected an expression, found '{shown}'", tok.span)
 
