@@ -1,7 +1,10 @@
 """Command-line checker: reports, exit codes, corpus bundle."""
 from __future__ import annotations
 
+import sys
 import threading
+
+import pytest
 
 from conftest import corpus_source
 from pielang import Context
@@ -85,6 +88,38 @@ class TestCheckSource:
         without = check_source(source, prelude=False)
         assert without.exit_code == 1
         assert without.diagnostics[0].rule == "T-Var"
+
+
+NAT = "Inductive Nat : Set := | Zero : Nat | Succ : Nat -> Nat;\n"
+
+
+def nested(shape: str, depth: int) -> str:
+    """One declaration nested depth levels deep in the given shape."""
+    if shape == "numeral":
+        return NAT + "def d() : Nat { " + "(Succ " * depth + "Zero" + ")" * depth + " };"
+    if shape == "arrow":
+        return "Axiom A : Set;\nAxiom d : " + " -> ".join(["A"] * (depth + 1)) + ";"
+    if shape == "binder":
+        xs = [f"x{i}" for i in range(depth)]
+        type_ = "".join(f"Π{x}:A." for x in xs) + "A"
+        value = "".join(f"λ{x}:A." for x in xs) + xs[0]
+        return f"Axiom A : Set;\ndef d() : {type_} {{ {value} }};"
+    return NAT + "def d() : Nat { " + "(" * depth + "Zero" + ")" * depth + " };"
+
+
+class TestDepth:
+    # Depth 400 is accepted in each of these shapes at Python's default
+    # recursion limit. A failure here means the parser or the checker takes
+    # more Python frames per nesting level than before.
+    @pytest.mark.parametrize("shape", ["numeral", "arrow", "binder", "paren"])
+    def test_depth_400_checks_at_the_default_recursion_limit(self, shape):
+        assert sys.getrecursionlimit() == 1000
+        source, reports = nested(shape, 400), []
+        thread = threading.Thread(target=lambda: reports.append(check_source(source)))
+        thread.start()
+        thread.join(timeout=60)
+        assert len(reports) == 1, "the check raised; see the thread's traceback"
+        assert reports[0].exit_code == 0, reports[0].lines()
 
 
 class TestMain:

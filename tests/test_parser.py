@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import corpus_source
-from pielang.cli import check_source
+from pielang.cli import check_source, load_corpus
+from pielang.parser import tokenize
 from pielang import (
     AxiomDecl,
     CheckError,
@@ -77,6 +78,49 @@ class TestExpressions:
         with pytest.raises(CheckError) as err:
             parse_term("<λn:Nat.Nat> match x with { Zero => a; Zero => b }")
         assert err.value.diagnostic.rule == "Parse"
+
+
+def assert_tokens_cover_lines(source: str) -> None:
+    """On each line that is not a comment, every token's span slices back to
+    its text, and the tokens' texts together are the line without whitespace
+    (a token reads `→` as `->`)."""
+    try:
+        tokens = tokenize(source)
+    except CheckError as err:  # a stray '-' or '='
+        assert err.diagnostic.rule == "Parse"
+        return
+    *tokens, eof = tokens
+    assert eof.kind == "eof"
+    by_line: dict[int, list] = {}
+    for tok in tokens:
+        by_line.setdefault(tok.line, []).append(tok)
+    for lineno, line in enumerate(source.split("\n"), start=1):
+        on_line = by_line.pop(lineno, [])
+        if line.lstrip().startswith("--"):
+            assert on_line == []
+            continue
+        for tok in on_line:
+            span = tok.span
+            assert (span.start_line, span.end_line) == (lineno, lineno)
+            assert line[span.start_col - 1:span.end_col].replace("→", "->") == tok.value
+        assert "".join(tok.value for tok in on_line) == "".join(line.split()).replace("→", "->")
+    assert by_line == {}
+
+
+TOKEN_TEXT = st.lists(st.sampled_from(list("(){}<>;,.:|=-λΠ→ \t\r\n\x0b\xa0xA0²٣") + [
+    "->", "=>", ":=", "--", "lam", "Pi", "Type", "Set", "match", "with", "Axiom", "def"]),
+    max_size=40).map("".join)
+
+
+class TestTokens:
+    @given(st.one_of(st.text(max_size=80), TOKEN_TEXT))
+    @settings(max_examples=300)
+    def test_spans_slice_back_to_the_text(self, source):
+        assert_tokens_cover_lines(source)
+
+    @pytest.mark.parametrize("path", [path for path, _ in load_corpus()], ids=lambda p: p.name)
+    def test_spans_slice_back_to_the_text_in_the_corpus(self, path):
+        assert_tokens_cover_lines(path.read_text(encoding="utf-8"))
 
 
 class TestDeclarations:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from nameless import nameless_free, oracle_subst, to_nameless
@@ -23,10 +24,39 @@ from pielang import (
     pretty,
     subst,
 )
-from pielang.syntax import BINDING
+from pielang.syntax import BINDING, SourceSpan
 from strategies import ctor_labels, lambda_terms, names, terms
 
 x, y, z = Name("x"), Name("y"), Name("z")
+
+
+class TestRecords:
+    """Names and spans are immutable records whose equality, hash, str and
+    repr read as they did when they were frozen dataclasses."""
+
+    def test_fresh_tag_distinguishes_names(self):
+        assert Name("x") != Name("x", 1)
+        assert Name("x") == Name("x", 0)
+
+    def test_equal_names_hash_equal(self):
+        assert hash(Name("x", 3)) == hash(Name("x", 3)) == hash(("x", 3))
+        assert len({Name("x"), Name("x", 0), Name("x", 1)}) == 2
+
+    @pytest.mark.parametrize("record, field", [
+        (Name("x"), "text"), (Name("x"), "fresh_tag"), (SourceSpan(1, 2, 1, 4), "end_col"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+    def test_str_and_repr(self):
+        assert str(Name("x")) == "x"
+        assert str(Name("x", 3)) == "x'3"
+        assert repr(Name("x")) == "Name(text='x', fresh_tag=0)"
+        assert str(SourceSpan(2, 5, 2, 9)) == "2:5"
+        assert repr(SourceSpan(2, 5, 2, 9)) == (
+            "SourceSpan(start_line=2, start_col=5, end_line=2, end_col=9)"
+        )
 
 
 class TestFreeVars:

@@ -20,6 +20,7 @@ from pielang import (
     parse_program,
     parse_term,
 )
+from pielang.cli import check_source
 from pielang.termination import check_fix, guard_check, infer_fix_index
 from strategies import F, GUARD_POOL as POOL, XK, deconstruct, recursion_bodies
 
@@ -70,6 +71,55 @@ class TestGuard:
     def test_monotone_in_the_guarded_set(self, body, small, extra):
         if passes(small, body):
             assert passes(small | extra, body)
+
+
+NAT = "Inductive Nat : Set := | Zero : Nat | Succ : Nat -> Nat;\n"
+
+
+class TestShadowing:
+    """Inside a binder's scope, a name it binds is no longer the recursive
+    function, the decreasing argument or a guarded variable."""
+
+    M = Name("m")
+
+    def test_a_binder_hides_a_guarded_variable(self):
+        # the inner m is (g m), not the predecessor
+        inner = Lam(self.M, Universe(0), App(Var(F), Var(self.M)))
+        assert not passes([], deconstruct(XK, App(inner, App(Var(Name("g")), Var(self.M)))))
+
+    def test_a_binder_hides_the_decreasing_argument(self):
+        body = Lam(XK, Universe(0), deconstruct(XK, App(Var(F), Var(self.M))))
+        assert not passes([], body)
+
+    def test_a_binder_hides_the_recursive_function(self):
+        # f is free in the domain only; in the body, f is the binder
+        shadowing = Lam(F, App(Var(F), Var(self.M)), App(Var(F), Var(XK)))
+        assert passes([], deconstruct(XK, shadowing))
+
+    def test_a_later_parameter_hides_an_earlier_one(self):
+        # only the second n is matched on, so the first does not decrease
+        call = App(App(Var(F), Var(self.M)), Var(self.M))
+        body = Lam(XK, Universe(0), Lam(XK, Universe(0), deconstruct(XK, call)))
+        assert infer_fix_index(F, body) == 1
+
+    def test_recursion_on_a_shadowing_larger_variable_is_rejected(self):
+        source = NAT + (
+            "def loop(n : Nat) : Nat { <λx:Nat.Nat> match n with "
+            "{ Zero => Zero ; Succ => λm:Nat.((λm:Nat.(loop m)) (Succ m)) } };"
+        )
+        report = check_source(source)
+        assert [d.rule for d in report.diagnostics] == ["Guard"]
+
+    def test_a_shadowed_name_is_not_a_recursive_call(self):
+        # the Zero branch applies a local f, not the function being defined
+        source = NAT + (
+            "def f(n : Nat) : Nat { <λx:Nat.Nat> match n with "
+            "{ Zero => ((λf:Πx:Nat.Nat.(f Zero)) (λx:Nat.x)) ; Succ => λm:Nat.(f m) } };\n"
+            "def one() : Nat { (f (Succ Zero)) };"
+        )
+        report = check_source(source, normalize_name="one")
+        assert report.exit_code == 0, report.lines()
+        assert report.extra_lines == ["one ~> Zero"]
 
 
 class TestInference:
