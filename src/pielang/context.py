@@ -1,35 +1,85 @@
-"""Persistent typing environment: (name, type, optional value) bindings."""
+"""Persistent typing environment: (name, type, optional value) bindings.
+
+Both of a context's maps are versions of one persistent map built by shallow
+binding (Baker, "Shallow binding makes functional arrays fast", 1991) and
+rerooted as in Conchon & Filliâtre, "A Persistent Union-Find Data Structure"
+(2007). The version used last owns the map's single dict; every other
+version keeps the one entry by which it differs from its neighbour towards
+that version. So adding a binding takes constant time, a lookup at the
+version used last is one dict probe, and reading an older version first
+moves the dict back to it, one step per version in between. Every context
+still sees exactly what it saw when it was made. Because a lookup can move
+the dict, a family of contexts (all those extended from one `Context(...)`)
+must be used by one thread at a time.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .syntax import Name, Term
 
 DEFAULT_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     name: Name
     type: Term
     value: Term | None = None
 
 
+class _Version:
+    """One version of a persistent map from names to bindings. The current
+    version holds the dict in `data`; any other has `data` None and is the
+    version `next` with `key` bound to `value` (unbound when None)."""
+
+    __slots__ = ("data", "key", "value", "next")
+
+    def __init__(self, data: dict[Name, Binding]):
+        self.data, self.key, self.value, self.next = data, None, None, None
+
+    def reroot(self) -> dict[Name, Binding]:
+        """Make this the current version and return the dict: reverse the
+        path to the current version, then walk back along it, applying each
+        version's entry and leaving the undoing entry behind."""
+        node, back = self, None
+        while node.data is None:
+            node.next, back, node = back, node, node.next
+        data = node.data
+        while back is not None:
+            key, value, ahead = back.key, back.value, back.next
+            node.data, node.key, node.value, node.next = None, key, data.get(key), back
+            if value is None:
+                del data[key]
+            else:
+                data[key] = value
+            node, back = back, ahead
+        node.data = data
+        return data
+
+    def set(self, key: Name, value: Binding) -> "_Version":
+        data = self.data if self.data is not None else self.reroot()
+        new = _Version(data)
+        self.data, self.key, self.value, self.next = None, key, data.get(key), new
+        data[key] = value
+        return new
+
+
 class Context:
-    """Two name-keyed dicts: top-level names (axioms, defs, inductives and
-    constructors; see `declare`) and local binders (λ, Π, fixpoint and
-    inductive self-binders). Locals shadow top-level names. Extending never
-    mutates the receiver; pushing a local copies only the local dict. Every
-    context extended from this one carries its normalization step budget."""
+    """Two persistent maps keyed by name: top-level names (axioms, defs,
+    inductives and constructors; see `declare`) and local binders (λ, Π,
+    fixpoint and inductive self-binders). Locals shadow top-level names.
+    Extending never changes what the receiver sees and takes constant time.
+    Every context extended from this one carries its normalization step
+    budget."""
 
     __slots__ = ("_top", "_local", "budget")
 
     def __init__(self, bindings: tuple[Binding, ...] = (), budget: int | None = None):
-        self._top = {b.name: b for b in bindings}  # a later binding wins
-        self._local: dict[Name, Binding] = {}
+        self._top = _Version({b.name: b for b in bindings})  # a later binding wins
+        self._local = _Version({})
         self.budget = DEFAULT_BUDGET if budget is None else budget
 
-    def _with(self, top: dict[Name, Binding], local: dict[Name, Binding]) -> "Context":
+    def _with(self, top: _Version, local: _Version) -> "Context":
         new = object.__new__(Context)
         new._top, new._local, new.budget = top, local, self.budget
         return new
@@ -37,19 +87,27 @@ class Context:
     @property
     def bindings(self) -> tuple[Binding, ...]:
         """Top-level bindings in declaration order, then the locals."""
-        return (*self._top.values(), *self._local.values())
+        return (*self._top.reroot().values(), *self._local.reroot().values())
 
     def declare(self, name: Name, type_: Term, value: Term | None = None) -> "Context":
-        return self._with({**self._top, name: Binding(name, type_, value)}, self._local)
+        binding = tuple.__new__(Binding, (name, type_, value))
+        return self._with(self._top.set(name, binding), self._local)
 
     def extend_type(self, name: Name, type_: Term) -> "Context":
-        return self._with(self._top, {**self._local, name: Binding(name, type_)})
+        binding = tuple.__new__(Binding, (name, type_, None))
+        return self._with(self._top, self._local.set(name, binding))
 
     def extend_type_value(self, name: Name, type_: Term, value: Term) -> "Context":
-        return self._with(self._top, {**self._local, name: Binding(name, type_, value)})
+        binding = tuple.__new__(Binding, (name, type_, value))
+        return self._with(self._top, self._local.set(name, binding))
 
     def _lookup(self, name: Name) -> Binding | None:
-        return self._local.get(name) or self._top.get(name)
+        m = self._local
+        b = (m.data if m.data is not None else m.reroot()).get(name)
+        if b is None:
+            m = self._top
+            b = (m.data if m.data is not None else m.reroot()).get(name)
+        return b
 
     def lookup_type(self, name: Name) -> Term | None:
         b = self._lookup(name)

@@ -1,6 +1,9 @@
 """Typing environment: persistence, shadowing, value bindings, top-level names."""
 from __future__ import annotations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from pielang import Binding, Context, Name, Universe, Var
 
 x, y = Name("x"), Name("y")
@@ -92,3 +95,76 @@ def test_bindings_lists_every_binding_in_order():
         Binding(z, Var(x)),
     )
     assert Context(ctxt.bindings).bindings == ctxt.bindings
+
+
+# A model of a context: its top-level bindings and its local bindings as
+# tuples, each scanned from the end; the locals are searched first.
+
+def _found(entries: tuple[Binding, ...], name: Name) -> Binding | None:
+    for b in reversed(entries):
+        if b.name == name:
+            return b
+    return None
+
+
+def _model_lookup(model, name: Name) -> Binding | None:
+    top, local = model
+    found = _found(local, name)
+    return found if found is not None else _found(top, name)
+
+
+def _model_bindings(model) -> tuple[Binding, ...]:
+    """Each name's last binding, at the place of its first one."""
+    listed = []
+    for entries in model:
+        order = []
+        for b in entries:
+            if b.name not in order:
+                order.append(b.name)
+        listed.extend(_found(entries, name) for name in order)
+    return tuple(listed)
+
+
+_NAMES = (x, y, Name("z"))
+_OPS = ("declare", "extend_type", "extend_type_value", "query")
+_steps = st.lists(
+    st.tuples(st.sampled_from(_OPS), st.integers(0, 10**6),
+              st.sampled_from(_NAMES), st.integers(0, 2)),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_steps, st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_NAMES))))
+def test_every_version_of_a_context_tree_matches_the_model(steps, queries):
+    """Extend random earlier versions, reading random versions in between
+    (each read can move the shared dict), then read them in random order."""
+    versions, models = [Context()], [((), ())]
+
+    def check(i: int, name: Name) -> None:
+        ctxt, model = versions[i], models[i]
+        b = _model_lookup(model, name)
+        assert ctxt.lookup_type(name) == (b.type if b else None)
+        assert ctxt.lookup_val(name) == (b.value if b else None)
+        assert (name in ctxt) == (b is not None)
+        assert ctxt.bindings == _model_bindings(model)
+
+    for op, pick, name, level in steps:
+        i = pick % len(versions)
+        if op == "query":
+            check(i, name)
+            continue
+        ctxt, (top, local) = versions[i], models[i]
+        type_, value = Universe(level), (None if op == "extend_type" else Var(name))
+        binding = Binding(name, type_, value)
+        if op == "declare":
+            versions.append(ctxt.declare(name, type_, value))
+            models.append(((*top, binding), local))
+            continue
+        if op == "extend_type":
+            versions.append(ctxt.extend_type(name, type_))
+        else:
+            versions.append(ctxt.extend_type_value(name, type_, value))
+        models.append((top, (*local, binding)))
+    for pick, name in queries:
+        check(pick % len(versions), name)

@@ -14,6 +14,7 @@ from pielang import (
     Context,
     Lam,
     Name,
+    Universe,
     Var,
     alpha_eq,
     check_equal,
@@ -128,6 +129,22 @@ class TestRecursion:
         elapsed = time.perf_counter() - start
         assert report.exit_code == 0
         assert len(report.decls) == 2 * n + 3
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("local", [True, False], ids=["binders", "declarations"])
+    def test_contexts_extend_in_constant_time(self, local):
+        n = 20000
+        names, set_ = [Name(f"x{j}") for j in range(n)], Universe(0)
+        ctxt = Context()
+        start = time.perf_counter()
+        for name in names:
+            if local:
+                ctxt = ctxt.extend_type(name, set_)
+                assert ctxt.lookup_type(names[0]) is set_
+            else:
+                ctxt = ctxt.declare(name, set_)
+        elapsed = time.perf_counter() - start
+        assert ctxt.lookup_type(names[-1]) is set_
         assert elapsed < 1.0
 
     @pytest.mark.parametrize("dependent", [False, True], ids=["arrows", "pis"])
