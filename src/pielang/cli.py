@@ -42,7 +42,7 @@ def check_file(path: str, *, prelude: bool = True, budget: int | None = None,
     report = CheckReport(file=path)
     try:
         source = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         report.diagnostics.append(Diagnostic("Parse", f"cannot read file: {err}"))
         report.exit_code = 1
         return report

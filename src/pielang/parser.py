@@ -302,9 +302,12 @@ def parse_program(source: str, source_name: str = "<input>",
     on the first lexical or grammatical failure."""
     program = _Parser(tokenize(source)).program(source_name)
     if prelude:
-        preamble = _Parser(tokenize(PRELUDE)).program(source_name)
-        program.decls = preamble.decls + program.decls
+        program.decls = [*_PRELUDE_DECLS, *program.decls]
     return program
+
+
+# declarations are immutable, and these draw no fresh name, so all programs share them
+_PRELUDE_DECLS = tuple(_Parser(tokenize(PRELUDE)).program("<prelude>").decls)
 
 
 def parse_term(source: str) -> Term:

@@ -147,6 +147,13 @@ class TestMain:
     def test_missing_file(self, capsys):
         assert main(["check", "no_such_file.pie"]) == 1
 
+    def test_file_that_is_not_utf8_is_one_parse_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "bad.pie"
+        path.write_bytes(b"Axiom A : Set;\n\xff\xfe\n")
+        assert main(["check", str(path)]) == 1
+        [line] = capsys.readouterr().out.splitlines()
+        assert line.startswith(f"error[Parse] {path}: cannot read file: ")
+
 
 class TestCorpusBundle:
     def test_every_bundled_file_exists(self):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import corpus_source
 from pielang.cli import check_source, load_corpus
-from pielang.parser import tokenize
+from pielang.parser import PRELUDE, tokenize
+from pielang.syntax import fresh_name, reset_fresh_names
 from pielang import (
     AxiomDecl,
     CheckError,
@@ -141,6 +142,17 @@ class TestDeclarations:
         program = parse_program("Axiom o : Set;")
         assert [str(d.name) for d in program.decls[:2]] == ["Void", "Null"]
         assert program.decls[2].span.start_line == 1
+
+    def test_prelude_draws_no_fresh_name(self):
+        # every program shares one parse of the prelude, so a fresh-tagged
+        # binder in it could collide with one drawn after the counter restarts
+        reset_fresh_names()
+        parse_program(PRELUDE, prelude=False)
+        assert fresh_name("x") == Name("x", 1)
+
+    def test_programs_share_one_parse_of_the_prelude(self):
+        first, second = parse_program("Axiom o : Set;"), parse_program("")
+        assert all(a is b for a, b in zip(first.decls[:2], second.decls, strict=True))
 
     def test_missing_separator_is_a_parse_error(self):
         with pytest.raises(CheckError) as err:
