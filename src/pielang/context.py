@@ -1,16 +1,11 @@
 """Persistent typing environment: (name, type, optional value) bindings.
 
-Both of a context's maps are versions of one persistent map built by shallow
-binding (Baker, "Shallow binding makes functional arrays fast", 1991) and
-rerooted as in Conchon & Filliâtre, "A Persistent Union-Find Data Structure"
-(2007). The version used last owns the map's single dict; every other
-version keeps the one entry by which it differs from its neighbour towards
-that version. So adding a binding takes constant time, a lookup at the
-version used last is one dict probe, and reading an older version first
-moves the dict back to it, one step per version in between. Every context
-still sees exactly what it saw when it was made. Because a lookup can move
-the dict, a family of contexts (all those extended from one `Context(...)`)
-must be used by one thread at a time.
+Both maps of a context are versions of one persistent map built by shallow
+binding (Baker 1991) and rerooted as in Conchon & Filliâtre (2007). The version
+used last owns the single dict, and extending it takes constant time; every
+other version keeps the one entry by which it differs from its neighbour towards
+that one. Using another version first moves the dict to it, so a family of
+contexts (all extended from one `Context(...)`) is for one thread at a time.
 """
 from __future__ import annotations
 
@@ -28,9 +23,8 @@ class Binding(NamedTuple):
 
 
 class _Version:
-    """One version of a persistent map from names to bindings. The current
-    version holds the dict in `data`; any other has `data` None and is the
-    version `next` with `key` bound to `value` (unbound when None)."""
+    """One version of a persistent map. The current one holds the dict in `data`;
+    any other is the version `next` with `key` bound to `value` (unbound if None)."""
 
     __slots__ = ("data", "key", "value", "next")
 
@@ -38,9 +32,8 @@ class _Version:
         self.data, self.key, self.value, self.next = data, None, None, None
 
     def reroot(self) -> dict[Name, Binding]:
-        """Make this the current version and return the dict: reverse the
-        path to the current version, then walk back along it, applying each
-        version's entry and leaving the undoing entry behind."""
+        """Make this the current version and return its dict: reverse the path to
+        the current version, then walk it back, leaving each step's inverse behind."""
         node, back = self, None
         while node.data is None:
             node.next, back, node = back, node, node.next
@@ -68,9 +61,8 @@ class Context:
     """Two persistent maps keyed by name: top-level names (axioms, defs,
     inductives and constructors; see `declare`) and local binders (λ, Π,
     fixpoint and inductive self-binders). Locals shadow top-level names.
-    Extending never changes what the receiver sees and takes constant time.
-    Every context extended from this one carries its normalization step
-    budget."""
+    Extending never changes what the receiver sees. Every context extended
+    from this one carries its normalization step budget."""
 
     __slots__ = ("_top", "_local", "budget")
 
