@@ -30,7 +30,6 @@ from .syntax import (
     free_vars,
     fresh_name,
     pretty,
-    reset_fresh_names,
     subst,
 )
 from .diagnostics import CheckError, Diagnostic
@@ -70,7 +69,6 @@ __all__ = [
     "parse_program",
     "parse_term",
     "pretty",
-    "reset_fresh_names",
     "subst",
     "type_check",
 ]

@@ -202,7 +202,7 @@ def _expected_carrier_type(ind: Ind, level: int) -> Term:
         binders.append((arity.binder, arity.domain))
         arity = arity.body
     target = apply_spine(ind, [Var(b) for b, _ in binders])
-    result: Term = Pi(fresh_name("m"), target, Universe(level))
+    result: Term = Pi(fresh_name(Name("m"), free_vars(target)), target, Universe(level))
     for b, dom in reversed(binders):
         result = Pi(b, dom, result)
     return result

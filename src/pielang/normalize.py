@@ -14,9 +14,9 @@ not evaluated inside.
 A λ or Π closure evaluates its domain, and its body under a variable of
 its own, the first time it is looked inside, and keeps both. `normalise`
 reads a value back to a term. Each binder keeps its own name unless a free
-variable of the same name occurs in its body; then it gets a fresh name.
-The read-back notes such captures on a first pass and, only if it found
-one, reads the value back once more with the capturing binders renamed.
+variable of the same name occurs in its body. The read-back notes such
+captures on a first pass and, only if it found one, reads the value back
+once more with those binders renamed to names nothing else read back has.
 `check_equal` compares two values one weak-head level at a time and stops
 at the first mismatch; it reads back only what evaluation does not look
 inside. Beta, delta, iota and fixpoint unfolding each draw a step from a
@@ -127,7 +127,7 @@ def _constructor(v) -> tuple[Constr | None, tuple]:
 class _Evaluator:
     """Evaluates in one context, drawing every step from one budget."""
 
-    __slots__ = ("ctxt", "budget", "remaining", "names", "scope", "captures")
+    __slots__ = ("ctxt", "budget", "remaining", "names", "scope", "captures", "taken")
 
     def __init__(self, ctxt: Context, budget: int | None):
         self.ctxt = ctxt
@@ -219,8 +219,9 @@ class _Evaluator:
     def read_back(self, v) -> Term:
         """v as a term. The first pass keeps every binder's own name and
         notes which binders would capture a variable; only if one would is
-        v read back a second time, with those binders renamed."""
-        self.scope, self.captures = {}, {}
+        v read back a second time, with those binders renamed to names not
+        in `taken`, which holds every name either pass reads back."""
+        self.scope, self.captures, self.taken = {}, {}, set()
         t = self.quote(v)
         self.scope = None
         return self.quote(v) if self.captures else t
@@ -251,11 +252,13 @@ class _Evaluator:
         x, var = t.binder, v.var
         if self.scope is None:
             if any(self._keeps_name(r) for r in self.captures.get(var, ())):
-                x = fresh_name(x)
+                x = fresh_name(x, self.taken)
+                self.taken.add(x)
             self.names[var] = Var(x) if x is not t.binder else var.term
             body = self.quote(v.body)
         else:
             self.names.pop(var, None)
+            self.taken.add(x)
             stack = self.scope.setdefault(x, [])
             stack.append(var)
             body = self.quote(v.body)
@@ -267,6 +270,7 @@ class _Evaluator:
     def _occurs(self, x: Name, r) -> None:
         """Note that x occurs free, standing for r, below the binders in
         scope: every binder named x inside the one of r would capture it."""
+        self.taken.add(x)
         for binder in reversed(self.scope.get(x, ())):
             if binder is r:
                 return
@@ -282,6 +286,7 @@ class _Evaluator:
             return t
         used = free_vars(t)
         if self.scope:
+            self.taken.update(used)
             for x in used.intersection(self.scope):
                 if x not in env:
                     self._occurs(x, None)

@@ -15,6 +15,8 @@ Grammar (fixed from the surface forms the corpus uses):
     branch   := NAME '=>' expr
               | '(' NAME+ ')' '=>' expr     -- argument names in the pattern are ignored
 
+An arrow `A -> B` is a Π whose binder no source name spells: each parse
+numbers its arrows x'1, x'2, ... in the order they close.
 `lam` and `Pi` are accepted for `λ` and `Π`, `→` for `->`. Identifiers are
 any other run of non-delimiter characters (so `⊃` is an ordinary name).
 Lines starting with `--` are skipped. A token is a named tuple of its kind,
@@ -29,7 +31,7 @@ from typing import NamedTuple
 
 from .diagnostics import fail
 from .syntax import App, Fix, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var
-from .syntax import free_vars, fresh_name
+from .syntax import free_vars
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.rest = iter(tokens)
         self.tok = next(self.rest)  # the next token, an attribute on the hot paths
+        self.arrows = 0  # the tag of the last arrow binder
 
     def advance(self) -> Token:
         tok = self.tok
@@ -218,7 +221,8 @@ class _Parser:
         if self.tok.kind == "->":
             arrow = self.advance()
             right = self.expr()
-            return Pi(fresh_name("x"), left, right, span=arrow.span)
+            self.arrows += 1
+            return Pi(Name("x", self.arrows), left, right, span=arrow.span)
         return left
 
     def atom(self) -> Term:
@@ -306,7 +310,7 @@ def parse_program(source: str, source_name: str = "<input>",
     return program
 
 
-# declarations are immutable, and these draw no fresh name, so all programs share them
+# declarations are immutable, so all programs share them
 _PRELUDE_DECLS = tuple(_Parser(tokenize(PRELUDE)).program("<prelude>").decls)
 
 

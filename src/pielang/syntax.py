@@ -1,14 +1,13 @@
 """Kernel term language: variables, universes, binders, applications,
 inductive definitions, constructors, case matches and fixpoints.
 
-Terms are immutable. Binding is name-based; capture is avoided by
-renaming binders to fresh names on demand during substitution. Each node
-computes its free names once and keeps them, so substitution skips every
-subterm that does not mention the substituted name.
+Terms are immutable. Binding is name-based; substitution avoids capture by
+renaming a binder to its text with the least tag free in the terms in play.
+Each node computes its free names once and keeps them, so substitution
+skips every subterm that does not mention the substituted name.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -26,8 +25,8 @@ class SourceSpan(NamedTuple):
 
 class Name(NamedTuple):
     """A variable name; a named tuple, so hashing and comparing run in C.
-    fresh_tag == 0 means the name came from source text; renamed binders
-    carry a positive tag that never collides with source names."""
+    fresh_tag == 0 means the name came from source text, which cannot
+    spell a tag. Arrow binders and renamed binders carry a positive tag."""
 
     text: str
     fresh_tag: int = 0
@@ -38,18 +37,12 @@ class Name(NamedTuple):
         return f"{self.text}'{self.fresh_tag}"
 
 
-_fresh_counter = itertools.count(1)
-
-
-def fresh_name(base: Name | str) -> Name:
-    text = base.text if isinstance(base, Name) else base
-    return Name(text, next(_fresh_counter))
-
-
-def reset_fresh_names() -> None:
-    """Restart the fresh-name sequence (one checking session is single-threaded)."""
-    global _fresh_counter
-    _fresh_counter = itertools.count(1)
+def fresh_name(base: Name, avoid) -> Name:
+    """base's text with the least positive tag whose name is not in avoid."""
+    tag = 1
+    while Name(base.text, tag) in avoid:
+        tag += 1
+    return Name(base.text, tag)
 
 
 class Term:
@@ -166,8 +159,7 @@ BINDER, OUTSIDE, INSIDE, DATA = "binder", "outside", "inside", "data"
 # Each compound node's fields but the span, with their roles: the name the
 # node binds, a subterm outside or inside that binder's scope, or data. In a
 # tuple of (name, term) pairs the names are data. The binder precedes its
-# scope. Substitution handles the fields in this order, which fixes the
-# order in which it draws fresh names.
+# scope. Substitution handles the fields in this order.
 BINDING: dict[type, tuple[tuple[str, str], ...]] = {
     App: (("fn", OUTSIDE), ("arg", OUTSIDE)),
     Lam: (("binder", BINDER), ("domain", OUTSIDE), ("body", INSIDE)),
@@ -274,12 +266,12 @@ def _subst_all(sigma: dict[Name, Term], t: Term) -> Term:
 
 def _under_binder(sigma: dict[Name, Term], binder: Name, scope: list[Term]):
     """The binder and substitution to use in its scope: drop the names it
-    shadows or the scope does not mention, and rename the binder to a fresh
-    name when it would capture a free variable of a replacement."""
+    shadows or the scope does not mention, and rename the binder, to a name
+    free in neither, when it would capture a free variable of a replacement."""
     used = frozenset().union(*map(free_vars, scope))
     inner = {x: s for x, s in sigma.items() if x != binder and x in used}
     if any(binder in free_vars(s) for s in inner.values()):
-        renamed = fresh_name(binder)
+        renamed = fresh_name(binder, used.union(*map(free_vars, inner.values())))
         inner[binder] = Var(renamed)
         binder = renamed
     return binder, inner

@@ -19,8 +19,8 @@ from .syntax import (
     Term,
     Universe,
     Var,
-    reset_fresh_names,
-    subst,
+    _subst_all,
+    subst,  # not used here, but `pielang.typecheck.subst` keeps resolving
 )
 
 
@@ -46,22 +46,8 @@ def type_check(ctxt: Context, e: Term) -> Term:
                 ctxt.extend_type(x, t), b, "T-PI", "Pi codomain is not a type", span
             )
             return Universe(max(i, j))
-        case App(fn=f, arg=a, span=span):
-            tf = type_check(ctxt, f)
-            if not isinstance(tf, Pi):
-                tf = normalise(tf, ctxt)
-            if not isinstance(tf, Pi):
-                fail("T-App", "applying a non-function", span, actual=tf)
-            ta = type_check(ctxt, a)
-            if not check_equal(tf.domain, ta, ctxt):
-                fail(
-                    "T-App",
-                    "argument type mismatch",
-                    span,
-                    expected=normalise(tf.domain, ctxt),
-                    actual=normalise(ta, ctxt),
-                )
-            return subst(tf.binder, a, tf.body)
+        case App():
+            return _check_spine(ctxt, e)
         case Ind():
             return inductive.check_ind(ctxt, e)
         case Constr():
@@ -71,6 +57,36 @@ def type_check(ctxt: Context, e: Term) -> Term:
         case Fix():
             return termination.check_fix(ctxt, e)
     raise TypeError(f"not a term: {e!r}")
+
+
+def _check_spine(ctxt: Context, e: App) -> Term:
+    """Rule T-App for a whole spine (f a1 ... an), in one pass. Each ai is
+    checked against its domain under sigma, which maps the binders passed
+    so far to their arguments; sigma is applied to the Π chain only where
+    it is not syntactically a Π, and to the codomain once, at the end."""
+    apps = []
+    while isinstance(e, App):
+        apps.append(e)
+        e = e.fn
+    tf, sigma = type_check(ctxt, e), {}
+    for app in reversed(apps):
+        if not isinstance(tf, Pi):
+            tf, sigma = normalise(_subst_all(sigma, tf), ctxt), {}
+            if not isinstance(tf, Pi):
+                fail("T-App", "applying a non-function", app.span, actual=tf)
+        domain = _subst_all(sigma, tf.domain)
+        ta = type_check(ctxt, app.arg)
+        if not check_equal(domain, ta, ctxt):
+            fail(
+                "T-App",
+                "argument type mismatch",
+                app.span,
+                expected=normalise(domain, ctxt),
+                actual=normalise(ta, ctxt),
+            )
+        sigma[tf.binder] = app.arg
+        tf = tf.body
+    return _subst_all(sigma, tf)
 
 
 def ensure_universe(ctxt: Context, t: Term, rule: str, message: str, span=None) -> int:
@@ -96,7 +112,6 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
     """Fold a parsed program declaration by declaration. A failing
     declaration contributes a diagnostic; later ones still check against
     the context built from the earlier successes."""
-    reset_fresh_names()
     ctxt = initial if initial is not None else Context()
     result = ElabResult(ctxt)
     top_level: set[Name] = {b.name for b in ctxt.bindings}

@@ -58,29 +58,27 @@ class TestCheckSource:
         # The starved check pauses at its first declaration, outside
         # normalisation, while the main thread checks with the default budget.
         source = corpus_source("appendix_c.pie")
-        paused, resume = threading.Event(), threading.Event()
-        declare = Context.declare
-
-        def pausing_declare(ctxt, *args):
-            if threading.current_thread() is starved_thread and not paused.is_set():
-                paused.set()
-                resume.wait(timeout=30)
-            return declare(ctxt, *args)
-
-        monkeypatch.setattr(Context, "declare", pausing_declare)
-        reports = []
-        starved_thread = threading.Thread(
-            target=lambda: reports.append(check_source(source, "appendix_c.pie", budget=7))
+        starved, later = interleave(
+            monkeypatch,
+            lambda: check_source(source, "appendix_c.pie", budget=7),
+            lambda: check_source(source, "appendix_c.pie"),
         )
-        starved_thread.start()
-        try:
-            assert paused.wait(timeout=30)
-            later = check_source(source, "appendix_c.pie")
-        finally:
-            resume.set()
-            starved_thread.join(timeout=30)
         assert later.exit_code == 0, later.lines()
-        assert [r.diagnostics[0].rule for r in reports] == ["Budget"]
+        assert starved.diagnostics[0].rule == "Budget"
+
+    def test_interleaved_checks_report_what_sequential_checks_do(self, monkeypatch):
+        # Both checks draw arrow binders and rename a binder; neither may
+        # pick a name that depends on the other.
+        source = ("Axiom P : Set -> Set -> Set; Axiom f : Πx:Set.Πy:Set.(P x y);\n"
+                  "def g(y : Set) : Set { (f y) };")
+
+        def check():
+            return check_source(source, "g.pie")
+
+        sequential = check().lines()
+        assert "Πy:Set.Πy'1:Set.(P y y'1)" in sequential[0]
+        paused, later = interleave(monkeypatch, check, check)
+        assert paused.lines() == later.lines() == sequential
 
     def test_prelude_supplies_void(self):
         source = "Axiom absurd : Void -> Set;"
@@ -88,6 +86,34 @@ class TestCheckSource:
         without = check_source(source, prelude=False)
         assert without.exit_code == 1
         assert without.diagnostics[0].rule == "T-Var"
+
+
+def interleave(monkeypatch, paused_check, other_check):
+    """Run paused_check on a thread that pauses at its first declaration,
+    run other_check meanwhile on this thread, then let the first finish.
+    Returns both reports."""
+    paused, resume = threading.Event(), threading.Event()
+    declare = Context.declare
+
+    def pausing_declare(ctxt, *args):
+        if threading.current_thread() is thread and not paused.is_set():
+            paused.set()
+            resume.wait(timeout=30)
+        return declare(ctxt, *args)
+
+    monkeypatch.setattr(Context, "declare", pausing_declare)
+    reports = []
+    thread = threading.Thread(target=lambda: reports.append(paused_check()))
+    thread.start()
+    try:
+        assert paused.wait(timeout=30)
+        other = other_check()
+    finally:
+        resume.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    [first] = reports
+    return first, other
 
 
 NAT = "Inductive Nat : Set := | Zero : Nat | Succ : Nat -> Nat;\n"

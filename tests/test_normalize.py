@@ -12,6 +12,7 @@ from pielang import (
     BudgetExceeded,
     Constr,
     Context,
+    Ind,
     Lam,
     Name,
     Universe,
@@ -25,9 +26,11 @@ from pielang import (
 )
 from pielang.cli import check_source
 from pielang.normalize import _DEPTH_LIMIT
+from pielang.syntax import apply_spine
 from strategies import add_terms, names, terms
 
 EMPTY = Context()
+SET, V, X1 = Universe(0), Name("v"), Name("x", 1)
 
 
 def norm_in(file: str, source: str, extend: dict | None = None):
@@ -162,6 +165,21 @@ class TestRecursion:
         assert report.exit_code == 0
         assert elapsed < 0.25
 
+    def test_dependent_spines_check_in_one_pass(self):
+        # the codomain mentions every binder, so the arguments must reach it;
+        # one substitution per spine keeps this linear and within the default
+        # recursion limit
+        k = 400
+        binders = "".join(f"Πx{j}:A." for j in range(k))
+        source = (f"Axiom A : Set; Axiom a : A; Axiom B : {' -> '.join(['A'] * k)} -> Set;\n"
+                  f"Axiom f : {binders}(B {' '.join(f'x{j}' for j in range(k))});\n"
+                  f"def r() : (B {' '.join(['a'] * k)}) {{ (f {' '.join(['a'] * k)}) }};")
+        start = time.perf_counter()
+        report = check_source(source)
+        elapsed = time.perf_counter() - start
+        assert report.exit_code == 0, report.lines()
+        assert elapsed < 0.1
+
     def test_only_capturing_binders_are_renamed(self):
         t = normalise(parse_term("λy:Set.((λx:Set.λy:Set.x) y)"), EMPTY)
         assert t.binder == Name("y") and t.body.binder != Name("y")
@@ -173,6 +191,25 @@ class TestRecursion:
         t = normalise(parse_term("((λw:Set.λy:Set.(w ((λu:Set.λy:Set.u) y))) y)"), EMPTY)
         assert t.binder != Name("y") and t.body.arg.binder == Name("y")
         assert alpha_eq(t, parse_term("λz:Set.(y λy:Set.z)"))
+
+    @pytest.mark.parametrize("body, printed", [
+        # a free name in the body
+        (lambda w, x: apply_spine(Var(w), [Var(X1), Var(x)]), "λx'2:Set.(x x'1 x'2)"),
+        # a binder the first pass kept, even one that binds nothing
+        (lambda w, x: Lam(X1, SET, apply_spine(Var(w), [Var(x)])), "λx'2:Set.λx'1:Set.(x x'2)"),
+        # a name picked for an enclosing binder
+        (lambda w, x: App(Lam(V, SET, Lam(x, SET, apply_spine(Var(w), [Var(V), Var(x)]))), Var(x)),
+         "λx'1:Set.λx'2:Set.(x x'1 x'2)"),
+        # a free name of a term the evaluator does not look inside
+        (lambda w, x: apply_spine(Var(w), [Ind(Name("N"), SET, ((Name("C"), Var(X1)),)), Var(x)]),
+         "λx'2:Set.(x N x'2)"),
+    ], ids=["free", "binder", "picked", "inert"])
+    def test_renamed_binders_take_a_name_nothing_else_has(self, body, printed):
+        # λx.body applied so that w stands for a free x, which the binder x
+        # would capture; it takes the least tag no other name read back has
+        w, x = Name("w"), Name("x")
+        t = normalise(App(Lam(w, SET, Lam(x, SET, body(w, x))), Var(x)), EMPTY)
+        assert pretty(t) == printed
 
     def test_nested_shadowing_binders_read_back_once_each(self):
         """λx. const (const (... (const x))) reads back as λx.λx.....λx.x

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import corpus_source
 from pielang.cli import check_source, load_corpus
-from pielang.parser import PRELUDE, tokenize
-from pielang.syntax import fresh_name, reset_fresh_names
+from pielang.parser import tokenize
 from pielang import (
     AxiomDecl,
     CheckError,
@@ -143,12 +142,11 @@ class TestDeclarations:
         assert [str(d.name) for d in program.decls[:2]] == ["Void", "Null"]
         assert program.decls[2].span.start_line == 1
 
-    def test_prelude_draws_no_fresh_name(self):
-        # every program shares one parse of the prelude, so a fresh-tagged
-        # binder in it could collide with one drawn after the counter restarts
-        reset_fresh_names()
-        parse_program(PRELUDE, prelude=False)
-        assert fresh_name("x") == Name("x", 1)
+    def test_equal_text_parses_to_equal_terms(self):
+        # arrow binders are numbered per parse, not drawn from the process
+        assert parse_term("A -> A -> A") == parse_term("A -> A -> A")
+        source = "Axiom A : Set; Axiom f : A -> A -> A;"
+        assert parse_program(source).decls == parse_program(source).decls
 
     def test_programs_share_one_parse_of_the_prelude(self):
         first, second = parse_program("Axiom o : Set;"), parse_program("")

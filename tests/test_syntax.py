@@ -20,6 +20,7 @@ from pielang import (
     Var,
     alpha_eq,
     free_vars,
+    fresh_name,
     parse_term,
     pretty,
     subst,
@@ -100,6 +101,18 @@ class TestSubst:
         assert result.binder != y
         assert result.body == Var(y)
         assert alpha_eq(result, Lam(z, Universe(0), Var(y)))
+
+    def test_fresh_name_takes_the_least_tag_not_avoided(self):
+        assert fresh_name(x, ()) == Name("x", 1)  # never tag 0, which source names carry
+        assert fresh_name(x, {x, Name("x", 1), Name("x", 3), Name("y", 2)}) == Name("x", 2)
+        assert fresh_name(Name("x", 5), {Name("y", 1)}) == Name("x", 1)
+
+    def test_renamed_binder_avoids_the_scope_and_the_replacement(self):
+        # [x := (y y'1)] λy.(x y'2): the binder may take neither y'1 nor y'2
+        y1, y2 = Name("y", 1), Name("y", 2)
+        t = Lam(y, Universe(0), App(Var(x), Var(y2)))
+        result = subst(x, App(Var(y), Var(y1)), t)
+        assert result == Lam(Name("y", 3), Universe(0), App(App(Var(y), Var(y1)), Var(y2)))
 
     def test_plain_beta_style_example(self):
         t = parse_term("λf:(A -> A).(f x)")
@@ -191,11 +204,9 @@ def _near_copy(t, redraw):
 
 def _rename_all(t, counter):
     """Refresh every binder, keeping the term alpha-equal."""
-    from pielang import fresh_name
-
     match t:
         case Lam(binder=b, domain=d, body=body) | Pi(binder=b, domain=d, body=body):
-            renamed = fresh_name(b)
+            renamed = fresh_name(b, free_vars(body) | {b})
             body = subst(b, Var(renamed), body)
             node = type(t)
             return node(renamed, _rename_all(d, counter), _rename_all(body, counter))
