@@ -19,25 +19,21 @@ from .syntax import (
     fresh_name,
     spine,
     subst,
+    telescope,
 )
-from .typecheck import ensure_universe, type_check
+from .typecheck import ensure_equal, ensure_universe, enter, type_check
 
 
 def upsilon(t: Term) -> Universe:
     """Terminal universe of a chain of Pi binders."""
-    while isinstance(t, Pi):
-        t = t.body
+    _, t = telescope(t)
     if not isinstance(t, Universe):
         fail("T-Ind", "arity does not end in a universe", actual=t)
     return t
 
 
 def param_count(arity: Term) -> int:
-    n = 0
-    while isinstance(arity, Pi):
-        n += 1
-        arity = arity.body
-    return n
+    return len(telescope(arity)[0])
 
 
 def positive_check(ctor_type: Term, ind_name: Name, params: int) -> list[Diagnostic]:
@@ -79,22 +75,17 @@ def positive_check(ctor_type: Term, ind_name: Name, params: int) -> list[Diagnos
     return warnings
 
 
-def check_ind(ctxt: Context, ind: Ind) -> Term:
-    _check_ind(ctxt, ind)
-    return ind.arity
-
-
-def _check_ind(ctxt: Context, ind: Ind) -> list[Diagnostic]:
+def check_ind(ctxt: Context, ind: Ind) -> list[Diagnostic]:
+    """Rule T-Ind: ind is well formed, so its arity is its type. Returns
+    the positivity warnings of its constructors."""
     upsilon(ind.arity)
     ensure_universe(ctxt, ind.arity, "T-Ind", "inductive arity is not a type")
     params = param_count(ind.arity)
-    inner = ctxt.extend_type(ind.name, ind.arity)
+    inner, name, *ctypes = enter(ctxt, ind.name, ind.arity, *(c for _, c in ind.constructors))
     warnings: list[Diagnostic] = []
-    for _, ctype in ind.constructors:
-        tt = normalise(type_check(inner, ctype), inner)
-        if not isinstance(tt, Universe):
-            fail("T-Ind", "constructor type does not live in a universe", actual=tt)
-        warnings.extend(positive_check(ctype, ind.name, params))
+    for ctype in ctypes:
+        ensure_universe(inner, ctype, "T-Ind", "constructor type does not live in a universe")
+        warnings.extend(positive_check(ctype, name, params))
     return warnings
 
 
@@ -102,7 +93,7 @@ def register_inductive(ctxt: Context, decl) -> tuple[Context, list[Diagnostic]]:
     """Check a source-level inductive declaration and bind the type name and
     every constructor name in the returned context."""
     node = Ind(decl.name, decl.arity, tuple(decl.constructors), span=decl.span)
-    warnings = _check_ind(ctxt, node)
+    warnings = check_ind(ctxt, node)
     ctxt = ctxt.declare(decl.name, decl.arity, node)
     for i, (cname, ctype) in enumerate(node.constructors, start=1):
         ctxt = ctxt.declare(cname, subst(decl.name, node, ctype), Constr(i, node))
@@ -116,21 +107,20 @@ def check_constr(ctxt: Context, c: Constr) -> Term:
     n = len(ind.constructors)
     if not 1 <= c.index <= n:
         fail("T-Constr", f"constructor index {c.index} out of bounds (1..{n})", c.span)
-    check_ind(ctxt, ind)
+    if ctxt.lookup_val(ind.name) is not ind:  # a registered one was checked when declared
+        check_ind(ctxt, ind)
     return subst(ind.name, ind, ind.constructors[c.index - 1][1])
 
 
 def case_type(ctor_type: Term, carrier: Term, ctor_term: Term) -> Term:
     """Expected type of a branch: rebind the constructor's arguments, then
     apply the carrier to the target's indices and the constructed value."""
-    if isinstance(ctor_type, Pi):
-        return Pi(
-            ctor_type.binder,
-            ctor_type.domain,
-            case_type(ctor_type.body, carrier, App(ctor_term, Var(ctor_type.binder))),
-        )
-    _, args = spine(ctor_type)
-    return App(apply_spine(carrier, args), ctor_term)
+    binders, target = telescope(ctor_type)
+    value = apply_spine(ctor_term, [Var(x) for x, _ in binders])
+    result: Term = App(apply_spine(carrier, spine(target)[1]), value)
+    for x, domain in reversed(binders):
+        result = Pi(x, domain, result)
+    return result
 
 
 def check_match(ctxt: Context, m: Match) -> Term:
@@ -146,13 +136,8 @@ def check_match(ctxt: Context, m: Match) -> Term:
     level = _carrier_level(carrier_type, params, m)
     expected_carrier = _expected_carrier_type(head, level)
     if not check_equal(carrier_type, expected_carrier, ctxt):
-        fail(
-            "T-Match",
-            "carrier has the wrong type",
-            m.span,
-            expected=expected_carrier,
-            actual=carrier_type,
-        )
+        fail("T-Match", "carrier has the wrong type", m.span,
+             expected=expected_carrier, actual=carrier_type)
 
     ctors = head.constructors
     if len(m.branches) != len(ctors):
@@ -171,36 +156,23 @@ def check_match(ctxt: Context, m: Match) -> Term:
             )
         closed = subst(head.name, head, ctype)
         expected = case_type(closed, m.carrier, Constr(i, head))
-        actual = type_check(ctxt, body)
-        if not check_equal(actual, expected, ctxt):
-            fail(
-                "T-Match",
-                f"branch {bname} has the wrong type",
-                m.span,
-                expected=normalise(expected, ctxt),
-                actual=normalise(actual, ctxt),
-            )
+        ensure_equal(ctxt, type_check(ctxt, body), expected, "T-Match",
+                     f"branch {bname} has the wrong type", m.span)
     return normalise(App(apply_spine(m.carrier, args), m.scrutinee), ctxt)
 
 
 def _carrier_level(carrier_type: Term, params: int, m: Match) -> int:
-    t = carrier_type
-    for _ in range(params + 1):
-        if not isinstance(t, Pi):
-            fail("T-Match", "carrier is not a type family over the inductive",
-                 m.span, actual=carrier_type)
-        t = t.body
-    if not isinstance(t, Universe):
+    binders, t = telescope(carrier_type)
+    if len(binders) <= params:
+        fail("T-Match", "carrier is not a type family over the inductive",
+             m.span, actual=carrier_type)
+    if len(binders) > params + 1 or not isinstance(t, Universe):
         fail("T-Match", "carrier does not return a universe", m.span, actual=carrier_type)
     return t.level
 
 
 def _expected_carrier_type(ind: Ind, level: int) -> Term:
-    binders: list[tuple[Name, Term]] = []
-    arity = ind.arity
-    while isinstance(arity, Pi):
-        binders.append((arity.binder, arity.domain))
-        arity = arity.body
+    binders, _ = telescope(ind.arity)
     target = apply_spine(ind, [Var(b) for b, _ in binders])
     result: Term = Pi(fresh_name(Name("m"), free_vars(target)), target, Universe(level))
     for b, dom in reversed(binders):

@@ -21,7 +21,8 @@ numbers its arrows x'1, x'2, ... in the order they close.
 any other run of non-delimiter characters (so `⊃` is an ordinary name).
 Lines starting with `--` are skipped. A token is a named tuple of its kind,
 value, line and columns; the parser builds a token's `SourceSpan` only when
-it attaches one to a term, a declaration or a diagnostic.
+it attaches one to a term, a declaration or a diagnostic. The parser imports
+no typing module: `typecheck.elaborate` makes a recursive def a fixpoint.
 """
 from __future__ import annotations
 
@@ -30,8 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .diagnostics import fail
-from .syntax import App, Fix, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var
-from .syntax import free_vars
+from .syntax import App, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var
 
 
 @dataclass(frozen=True)
@@ -323,17 +323,12 @@ def parse_term(source: str) -> Term:
 
 
 def desugar_def(d: DefDecl) -> tuple[Term, Term]:
-    """Turn a def into (declared Pi type, value). Recursive definitions are
-    wrapped in a Fix with the smallest decreasing index that passes the
-    guard check."""
-    from .termination import infer_fix_index
-
+    """Turn a def into (declared Pi type, value): the parameters become Π
+    binders of the type and λ binders of the value. A recursive def's value
+    still mentions its own name; `elaborate` wraps it in a Fix."""
     declared: Term = d.result_type
     value: Term = d.body
     for pname, ptype in reversed(d.params):
         declared = Pi(pname, ptype, declared, span=d.span)
         value = Lam(pname, ptype, value, span=d.span)
-    if d.name in free_vars(value):
-        k = infer_fix_index(d.name, value)
-        value = Fix(d.name, k, declared, value, span=d.span)
     return declared, value

@@ -37,10 +37,10 @@ class Name(NamedTuple):
         return f"{self.text}'{self.fresh_tag}"
 
 
-def fresh_name(base: Name, avoid) -> Name:
-    """base's text with the least positive tag whose name is not in avoid."""
+def fresh_name(base: Name, *avoid) -> Name:
+    """base's text with the least positive tag whose name is in none of avoid."""
     tag = 1
-    while Name(base.text, tag) in avoid:
+    while any(Name(base.text, tag) in names for names in avoid):
         tag += 1
     return Name(base.text, tag)
 
@@ -131,7 +131,7 @@ class Fix(Term):
 
 
 # ---------------------------------------------------------------------------
-# Spines
+# Spines and telescopes
 # ---------------------------------------------------------------------------
 
 def spine(t: Term) -> tuple[Term, list[Term]]:
@@ -148,6 +148,16 @@ def apply_spine(head: Term, args) -> Term:
     for a in args:
         head = App(head, a)
     return head
+
+
+def telescope(t: Term, kind: type = Pi) -> tuple[list[tuple[Name, Term]], Term]:
+    """The leading binders of a chain of kind (Π or λ) nodes, as (binder,
+    domain) pairs, and the term that ends the chain."""
+    binders = []
+    while type(t) is kind:
+        binders.append((t.binder, t.domain))
+        t = t.body
+    return binders, t
 
 
 # ---------------------------------------------------------------------------

@@ -2,19 +2,10 @@
 from __future__ import annotations
 
 from .context import Context
-from .normalize import check_equal, normalise
 from .diagnostics import CheckError, fail
 from .syntax import BINDER, BINDING, INSIDE, OUTSIDE, App, Fix, Lam, Match, Name, Term, Var
-from .syntax import children, free_vars, spine
-from .typecheck import ensure_universe, type_check
-
-
-def leading_lambda_binders(t: Term) -> list[Name]:
-    binders = []
-    while isinstance(t, Lam):
-        binders.append(t.binder)
-        t = t.body
-    return binders
+from .syntax import children, free_vars, spine, telescope
+from .typecheck import ensure_equal, ensure_universe, enter, type_check
 
 
 def guard_check(f: Name, k: int, xk: Name | None, guarded: frozenset[Name], e: Term) -> None:
@@ -70,30 +61,20 @@ def _guard_fix(f: Name, k: int, body: Term) -> None:
 
 def check_fix(ctxt: Context, fix: Fix) -> Term:
     ensure_universe(ctxt, fix.signature, "T-Fix", "fixpoint signature is not a type", fix.span)
-    inner = ctxt.extend_type(fix.name, fix.signature)
-    body_type = type_check(inner, fix.body)
-    if not check_equal(body_type, fix.signature, inner):
-        fail(
-            "T-Fix",
-            f"fixpoint body of {fix.name} does not have the declared type",
-            fix.span,
-            expected=normalise(fix.signature, inner),
-            actual=normalise(body_type, inner),
-        )
-    binders = leading_lambda_binders(fix.body)
+    inner, f, body = enter(ctxt, fix.name, fix.signature, fix.body)
+    ensure_equal(inner, type_check(inner, body), fix.signature, "T-Fix",
+                 f"fixpoint body of {fix.name} does not have the declared type", fix.span)
+    binders, _ = telescope(body, Lam)
     if not 0 <= fix.dec_index < len(binders):
-        fail(
-            "T-Fix",
-            f"decreasing-argument index {fix.dec_index} out of range for {fix.name}",
-            fix.span,
-        )
-    _guard_fix(fix.name, fix.dec_index, fix.body)
+        fail("T-Fix", f"decreasing-argument index {fix.dec_index} out of range for {fix.name}",
+             fix.span)
+    _guard_fix(f, fix.dec_index, body)
     return fix.signature
 
 
 def infer_fix_index(name: Name, body: Term) -> int:
     """Smallest decreasing-argument index accepted by the guard predicate."""
-    binders = leading_lambda_binders(body)
+    binders, _ = telescope(body, Lam)
     for k in range(len(binders)):
         try:
             _guard_fix(name, k, body)

@@ -1,4 +1,6 @@
-"""Typing rules for the core calculus and top-level elaboration."""
+"""Typing rules for the core calculus and top-level elaboration. Every
+binder enters the context through `enter`, every failed conversion is
+reported by `ensure_equal`, and `elaborate` makes a recursive def a fixpoint."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -20,7 +22,9 @@ from .syntax import (
     Universe,
     Var,
     _subst_all,
-    subst,  # not used here, but `pielang.typecheck.subst` keeps resolving
+    free_vars,
+    fresh_name,
+    subst,
 )
 
 
@@ -38,18 +42,18 @@ def type_check(ctxt: Context, e: Term) -> Term:
             return Universe(i + 1)
         case Lam(binder=x, domain=t, body=b, span=span):
             ensure_universe(ctxt, t, "T-Abs", "lambda domain is not a type", span)
-            tb = type_check(ctxt.extend_type(x, t), b)
-            return Pi(x, t, tb)
+            inner, x, b = enter(ctxt, x, t, b)
+            return Pi(x, t, type_check(inner, b))
         case Pi(binder=x, domain=t, body=b, span=span):
             i = ensure_universe(ctxt, t, "T-PI", "Pi domain is not a type", span)
-            j = ensure_universe(
-                ctxt.extend_type(x, t), b, "T-PI", "Pi codomain is not a type", span
-            )
+            inner, _, b = enter(ctxt, x, t, b)
+            j = ensure_universe(inner, b, "T-PI", "Pi codomain is not a type", span)
             return Universe(max(i, j))
         case App():
             return _check_spine(ctxt, e)
-        case Ind():
-            return inductive.check_ind(ctxt, e)
+        case Ind(arity=t):
+            inductive.check_ind(ctxt, e)
+            return t
         case Constr():
             return inductive.check_constr(ctxt, e)
         case Match():
@@ -75,15 +79,8 @@ def _check_spine(ctxt: Context, e: App) -> Term:
             if not isinstance(tf, Pi):
                 fail("T-App", "applying a non-function", app.span, actual=tf)
         domain = _subst_all(sigma, tf.domain)
-        ta = type_check(ctxt, app.arg)
-        if not check_equal(domain, ta, ctxt):
-            fail(
-                "T-App",
-                "argument type mismatch",
-                app.span,
-                expected=normalise(domain, ctxt),
-                actual=normalise(ta, ctxt),
-            )
+        ensure_equal(ctxt, type_check(ctxt, app.arg), domain, "T-App", "argument type mismatch",
+                     app.span)
         sigma[tf.binder] = app.arg
         tf = tf.body
     return _subst_all(sigma, tf)
@@ -95,6 +92,27 @@ def ensure_universe(ctxt: Context, t: Term, rule: str, message: str, span=None) 
     if not isinstance(tt, Universe):
         fail(rule, message, span, actual=tt)
     return tt.level
+
+
+def ensure_equal(ctxt: Context, actual: Term, expected: Term, rule: str, message: str,
+                 span=None) -> None:
+    """Check that actual converts to expected, or fail with both normalised."""
+    if not check_equal(actual, expected, ctxt):
+        fail(rule, message, span, expected=normalise(expected, ctxt),
+             actual=normalise(actual, ctxt))
+
+
+def enter(ctxt: Context, x: Name, t: Term, *scope: Term) -> tuple:
+    """Γ, x : t, in which the terms of scope, x's scope, are typed. If Γ
+    already binds x, then t and the types in Γ mean that outer x, which a
+    new x would capture; so x is first renamed, in scope, to a name that
+    neither Γ nor scope has. Returns the context, the binder and the scope,
+    as renamed."""
+    if x in ctxt:
+        renamed = fresh_name(x, ctxt, *map(free_vars, scope))
+        scope = [subst(x, Var(renamed), s) for s in scope]
+        x = renamed
+    return ctxt.extend_type(x, t), x, *scope
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +150,14 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                 case DefDecl(name=name, span=span):
                     claim(name, span)
                     declared, value = desugar_def(decl)
+                    if name in free_vars(value):  # recursive; a failed guard is reported first
+                        k = termination.infer_fix_index(name, value)
+                        value = Fix(name, k, declared, value, span=span)
                     ensure_universe(
                         ctxt, declared, "T-PI", "declared type must live in a universe", span
                     )
-                    inferred = type_check(ctxt, value)
-                    if not check_equal(inferred, declared, ctxt):
-                        fail(
-                            "T-App",
-                            f"definition {name} does not have its declared type",
-                            span,
-                            expected=normalise(declared, ctxt),
-                            actual=normalise(inferred, ctxt),
-                        )
+                    ensure_equal(ctxt, type_check(ctxt, value), declared, "T-App",
+                                 f"definition {name} does not have its declared type", span)
                     ctxt = ctxt.declare(name, declared, value)
                     result.entries.append((name, declared, "ok"))
                 case InductiveDeclSrc(name=name, span=span):

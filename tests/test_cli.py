@@ -1,11 +1,14 @@
 """Command-line checker: reports, exit codes, corpus bundle."""
 from __future__ import annotations
 
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import pielang
 from conftest import corpus_source
 from pielang import Context
 from pielang.cli import (
@@ -191,3 +194,33 @@ class TestCorpusBundle:
         assert len(NEGATIVE_CORPUS) >= 12
         tags = set(NEGATIVE_CORPUS.values())
         assert {"T-Var", "T-Abs", "T-PI", "T-App", "T-Ind", "T-Match", "Guard"} <= tags
+
+
+PACKAGE = Path(pielang.__file__).parent
+
+
+def _imports(module: Path):
+    """(function or None, imported module) for every import in module."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((function, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                found.append((function, "." * child.level + (child.module or "")))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  else function)
+
+    visit(ast.parse(module.read_text(encoding="utf-8")), None)
+    return found
+
+
+class TestPackage:
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+    def test_no_module_imports_inside_a_function(self, module):
+        assert [(f, m) for f, m in _imports(PACKAGE / module) if f is not None] == []
+
+    def test_the_parser_imports_no_typing_module(self):
+        local = {m for _, m in _imports(PACKAGE / "parser.py") if m.startswith(".")}
+        assert local == {".diagnostics", ".syntax"}

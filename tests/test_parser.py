@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_source
+from conftest import corpus_source, elaborated
 from pielang.cli import check_source, load_corpus
 from pielang.parser import tokenize
 from pielang import (
@@ -193,18 +193,12 @@ class TestDesugaring:
         assert alpha_eq(value, parse_term("λA:Set.λa:A.λb:A.a"))
 
     def test_recursive_definition_becomes_fix(self):
-        d = self._def(corpus_source("add.pie"))
-        _, value = desugar_def(d)
+        value = elaborated("add.pie").context.lookup_val(Name("add"))
         assert isinstance(value, Fix)
         assert value.dec_index == 0
 
     def test_recursion_on_a_later_argument(self):
-        d = next(
-            dd
-            for dd in parse_program(corpus_source("nat_ind.pie"), prelude=False).decls
-            if isinstance(dd, DefDecl)
-        )
-        _, value = desugar_def(d)
+        value = elaborated("nat_ind.pie").context.lookup_val(Name("nat_ind"))
         assert isinstance(value, Fix)
         assert value.dec_index == 3
 

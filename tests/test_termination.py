@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_source, elaborated
+from conftest import elaborated
 from pielang import (
     App,
     CheckError,
-    DefDecl,
     Fix,
     Lam,
     Name,
     Pi,
     Universe,
     Var,
-    desugar_def,
-    parse_program,
     parse_term,
 )
 from pielang.cli import check_source
@@ -124,12 +121,7 @@ class TestShadowing:
 
 class TestInference:
     def _fix(self, file: str, name: str) -> Fix:
-        program = parse_program(corpus_source(file))
-        decl = next(
-            d for d in program.decls
-            if isinstance(d, DefDecl) and str(d.name) == name
-        )
-        _, value = desugar_def(decl)
+        value = elaborated(file).context.lookup_val(Name(name))
         assert isinstance(value, Fix)
         return value
 
@@ -144,6 +136,12 @@ class TestInference:
         with pytest.raises(CheckError) as err:
             infer_fix_index(F, body)
         assert err.value.diagnostic.rule == "Guard"
+
+    def test_the_guard_is_reported_before_the_declared_type(self):
+        # the index is inferred before the declared type is checked, so the
+        # unbound Bogus does not hide the failed guard
+        report = check_source(NAT + "def f(n : Nat) : Bogus { (f n) };")
+        assert [d.rule for d in report.diagnostics] == ["Guard"]
 
 
 class TestCheckFix:
