@@ -161,6 +161,16 @@ class TestCheckFix:
             check_fix(ctxt, fix)
         assert err.value.diagnostic.rule == "T-Fix"
 
+    def test_the_guard_follows_a_renamed_self_name(self):
+        # the context binds f, so the fixpoint's f is renamed in its body;
+        # the guard must still see (f n) as a call on the raw argument
+        nat = parse_term("Nat")
+        ctxt = elaborated("nat.pie").context.extend_type(F, nat)
+        fix = Fix(F, 0, Pi(XK, nat, nat), Lam(XK, nat, App(Var(F), Var(XK))))
+        with pytest.raises(CheckError) as err:
+            check_fix(ctxt, fix)
+        assert err.value.diagnostic.rule == "Guard"
+
     def test_body_must_match_the_signature(self):
         ctxt = elaborated("nat.pie").context
         nat = parse_term("Nat")

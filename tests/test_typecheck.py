@@ -188,6 +188,13 @@ class TestCapture:
     def test_inner_binder_does_not_capture_the_outer_in_the_type(self):
         assert _status("def f() : ΠA:Set.ΠB:A.A { λA:Set.λA:A.A };", "f") == "ok"
 
+    def test_a_renamed_binder_avoids_the_free_names_of_its_scope(self):
+        # A'1 is unbound; renaming the inner A to A'1 would make it bound
+        ctxt = EMPTY.extend_type(Name("A"), Universe(0))
+        with pytest.raises(CheckError) as err:
+            type_check(ctxt, Lam(Name("A"), Var(Name("A")), Var(Name("A", 1))))
+        assert err.value.diagnostic.rule == "T-Var"
+
     def test_fixpoint_self_binder_does_not_capture_the_definition_it_shadows(self):
         # the signature's f is the definition, which unfolds to Zero
         source = NAT + "Axiom P : Nat -> Set; Axiom pz : (P Zero); def f() : Nat { Zero };"
@@ -207,6 +214,8 @@ class TestCapture:
             return err.value.diagnostic.rule, err.value.diagnostic.message
 
         assert failure("A") == failure("B") == ("T-App", "argument type mismatch")
+        well_formed = Ind(Name("A"), Universe(0), ((Name("C"), Var(Name("A"))),))
+        assert type_check(ctxt, well_formed) == Universe(0)
 
 
 def _renamed_apart(t: Term, tags) -> Term:
