@@ -107,8 +107,7 @@ def check_constr(ctxt: Context, c: Constr) -> Term:
     n = len(ind.constructors)
     if not 1 <= c.index <= n:
         fail("T-Constr", f"constructor index {c.index} out of bounds (1..{n})", c.span)
-    if ctxt.lookup_val(ind.name) is not ind:  # a registered one was checked when declared
-        check_ind(ctxt, ind)
+    check_ind(ctxt, ind)
     return subst(ind.name, ind, ind.constructors[c.index - 1][1])
 
 
@@ -136,8 +135,13 @@ def check_match(ctxt: Context, m: Match) -> Term:
     level = _carrier_level(carrier_type, params, m)
     expected_carrier = _expected_carrier_type(head, level)
     if not check_equal(carrier_type, expected_carrier, ctxt):
-        fail("T-Match", "carrier has the wrong type", m.span,
-             expected=expected_carrier, actual=carrier_type)
+        fail(
+            "T-Match",
+            "carrier has the wrong type",
+            m.span,
+            expected=expected_carrier,
+            actual=carrier_type,
+        )
 
     ctors = head.constructors
     if len(m.branches) != len(ctors):

@@ -2,12 +2,13 @@
 inductive definitions, constructors, case matches and fixpoints.
 
 Terms are immutable. Binding is name-based; substitution avoids capture by
-renaming a binder to its text with the least tag free in the terms in play.
+renaming a binder to its text with a tag free in the terms in play.
 Each node computes its free names once and keeps them, so substitution
 skips every subterm that does not mention the substituted name.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -38,11 +39,14 @@ class Name(NamedTuple):
 
 
 def fresh_name(base: Name, *avoid) -> Name:
-    """base's text with the least positive tag whose name is in none of avoid."""
+    """base's text with a positive tag whose name is in none of avoid, but the tag
+    below's is: the least one if 1..k are taken, found in O(log k) probes, not O(k)."""
+    def free(tag: int) -> bool:
+        return not any(Name(base.text, tag) in names for names in avoid)
     tag = 1
-    while any(Name(base.text, tag) in names for names in avoid):
-        tag += 1
-    return Name(base.text, tag)
+    while not free(tag):
+        tag *= 2
+    return Name(base.text, bisect_left(range(tag), True, tag // 2 + 1, key=free))
 
 
 class Term:

@@ -66,8 +66,11 @@ def check_fix(ctxt: Context, fix: Fix) -> Term:
                  f"fixpoint body of {fix.name} does not have the declared type", fix.span)
     binders, _ = telescope(body, Lam)
     if not 0 <= fix.dec_index < len(binders):
-        fail("T-Fix", f"decreasing-argument index {fix.dec_index} out of range for {fix.name}",
-             fix.span)
+        fail(
+            "T-Fix",
+            f"decreasing-argument index {fix.dec_index} out of range for {fix.name}",
+            fix.span,
+        )
     _guard_fix(f, fix.dec_index, body)
     return fix.signature
 

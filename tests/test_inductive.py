@@ -7,7 +7,6 @@ from conftest import elaborated
 from pielang import (
     CheckError,
     Constr,
-    Context,
     Ind,
     Name,
     Pi,
@@ -20,7 +19,6 @@ from pielang import (
     subst,
     type_check,
 )
-from pielang import inductive
 from pielang.inductive import case_type, param_count, positive_check, upsilon
 
 NAT = Name("Nat")
@@ -96,17 +94,6 @@ class TestConstructors:
         with pytest.raises(CheckError) as err:
             type_check(elaborated("nat.pie").context, Constr(1, Universe(0)))
         assert err.value.diagnostic.rule == "T-Constr"
-
-    def test_a_registered_inductive_is_not_checked_again(self, monkeypatch):
-        checked = []
-        check_ind = inductive.check_ind
-        monkeypatch.setattr(inductive, "check_ind",
-                            lambda ctxt, ind: checked.append(ind) or check_ind(ctxt, ind))
-        nat = _nat_ind()
-        assert type_check(elaborated("nat.pie").context, Constr(1, nat)) is nat
-        assert checked == []
-        type_check(Context(), Constr(1, nat))  # not registered there
-        assert checked == [nat]
 
     def test_an_unregistered_ill_formed_inductive_is_checked(self):
         bad = Ind(Name("Bad"), Universe(0), ((Name("C"), Universe(0)),))

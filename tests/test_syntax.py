@@ -107,6 +107,22 @@ class TestSubst:
         assert fresh_name(x, {x, Name("x", 1), Name("x", 3), Name("y", 2)}) == Name("x", 2)
         assert fresh_name(Name("x", 5), {Name("y", 1)}) == Name("x", 1)
 
+    @given(st.sets(st.integers(1, 40)))
+    def test_fresh_name_takes_a_free_tag_just_above_a_taken_one(self, tags):
+        tag = fresh_name(x, {Name("x", t) for t in tags}).fresh_tag
+        assert tag not in tags and (tag == 1 or tag - 1 in tags)
+
+    def test_fresh_name_probes_logarithmically_many_tags(self):
+        probes = []
+
+        class Taken(set):
+            def __contains__(self, name):
+                probes.append(name)
+                return set.__contains__(self, name)
+
+        assert fresh_name(x, Taken(Name("x", t) for t in range(1, 1000))) == Name("x", 1000)
+        assert len(probes) <= 20  # a search up from tag 1 would probe 1000
+
     def test_renamed_binder_avoids_the_scope_and_the_replacement(self):
         # [x := (y y'1)] λy.(x y'2): the binder may take neither y'1 nor y'2
         y1, y2 = Name("y", 1), Name("y", 2)

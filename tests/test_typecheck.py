@@ -30,6 +30,7 @@ from pielang import (
     subst,
     type_check,
 )
+from pielang.syntax import telescope
 from strategies import terms
 
 EMPTY = Context()
@@ -194,6 +195,21 @@ class TestCapture:
         with pytest.raises(CheckError) as err:
             type_check(ctxt, Lam(Name("A"), Var(Name("A")), Var(Name("A", 1))))
         assert err.value.diagnostic.rule == "T-Var"
+
+    def test_binders_that_all_shadow_one_name_take_the_next_tag_each(self, monkeypatch):
+        # λx:A.λx:A.…x: the k-th binder is renamed x'(k-1), past the k-2 renamed
+        # ones in the context; probing those one at a time would be quadratic
+        probes = []
+        contains = Context.__contains__
+        monkeypatch.setattr(Context, "__contains__",
+                            lambda ctxt, name: probes.append(name) or contains(ctxt, name))
+        x, n = Name("x"), 256
+        t: Term = Var(x)
+        for _ in range(n):
+            t = Lam(x, Var(Name("A")), t)
+        binders, _ = telescope(type_check(EMPTY.extend_type(Name("A"), Universe(0)), t))
+        assert [b for b, _ in binders] == [Name("x", tag) for tag in range(n)]
+        assert len(probes) < 20 * n  # n * n / 2 for a search from tag 1
 
     def test_fixpoint_self_binder_does_not_capture_the_definition_it_shadows(self):
         # the signature's f is the definition, which unfolds to Zero
