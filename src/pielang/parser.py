@@ -15,20 +15,20 @@ Grammar (fixed from the surface forms the corpus uses):
     branch   := NAME '=>' expr
               | '(' NAME+ ')' '=>' expr     -- argument names in the pattern are ignored
 
-An arrow `A -> B` is a Π whose binder no source name spells: each parse
-numbers its arrows x'1, x'2, ... in the order they close.
-`lam` and `Pi` are accepted for `λ` and `Π`, `→` for `->`. Identifiers are
-any other run of non-delimiter characters (so `⊃` is an ordinary name).
-Lines starting with `--` are skipped. A token is a named tuple of its kind,
-value, line and columns; the parser builds a token's `SourceSpan` only when
-it attaches one to a term, a declaration or a diagnostic. The parser imports
-no typing module: `typecheck.elaborate` makes a recursive def a fixpoint.
+`lam`, `Pi` and `→` are accepted for `λ`, `Π` and `->`; an identifier is any
+other run of non-delimiter characters (so `⊃` is a name), and lines starting
+with `--` are skipped. An arrow is a Π whose binder no source name spells:
+each parse numbers its arrows x'1, x'2, ... in the order they close.
+Tokens (named tuples of kind, value, line and columns) are made only as the
+parser reads them, and an expression is read in one loop over an explicit
+stack, so no nesting depth overflows Python's stack. The parser imports no
+typing module: `typecheck.elaborate` makes a recursive def a fixpoint.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .diagnostics import fail
 from .syntax import App, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var
@@ -95,70 +95,79 @@ _TOKEN = re.compile(r"->|=>|:=|[(){}<>;,.:|λΠ→=-]|[^\s(){}<>;,.:|=λΠ→-]+
 _KINDS = {t: t for t in ("->", "=>", ":=", *"(){}<>;,.:|λΠ", "Axiom", "def", "Inductive", "match",
                          "with", "Set", "Prop", "Type", "lam", "Pi")} | {"→": "->"}
 
-_STRAY = {"-": "stray '-' (expected '->')", "=": "stray '=' (expected '=>' or ':=')"}
+# a '-' not before '>', and a '=' neither before '>' nor in ':=', start no token
+_STRAY = re.compile(r"[-=](?!>)")
+_STRAY_MESSAGES = {"-": "stray '-' (expected '->')", "=": "stray '=' (expected '=>' or ':=')"}
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    append, search, kinds, new = tokens.append, _TOKEN.search, _KINDS, tuple.__new__
+def _tokens(source: str) -> Iterator[Token]:
+    """The tokens of source, made as they are read. The first such stray '-' or
+    '=' outside comment lines is reported first, to win over earlier errors."""
+    at = 0  # search loops, not finditer: a scanner per short line costs more
+    while (m := _STRAY.search(source, at)) is not None:
+        at = m.end()
+        line_start = source.rfind("\n", 0, at) + 1
+        stray = m[0] == "-" or source[at - 2:at] != ":="
+        if stray and not source[line_start:at + 1].lstrip().startswith("--"):  # a comment line
+            line, col = source.count("\n", 0, at) + 1, at - line_start
+            fail("Parse", _STRAY_MESSAGES[m[0]], SourceSpan(line, col, line, col))
+    search, kinds, new = _TOKEN.search, _KINDS, tuple.__new__
     lines = source.split("\n")
     for lineno, line in enumerate(lines, start=1):
         if line.lstrip().startswith("--"):
             continue
-        # a search loop, not finditer: on CPython 3.11.7 finditer here left small
-        # blocks behind that pinned memory arenas, so repeated checks of long
-        # files kept growing the process
-        pos = 0
-        while (m := search(line, pos)) is not None:
+        end = 0
+        while (m := search(line, end)) is not None:
             text = m[0]
-            start, pos = m.span()
+            start, end = m.span()
             if (kind := kinds.get(text)) is not None:
                 text = kind  # '→' reads as '->'
-            elif text in _STRAY:
-                fail("Parse", _STRAY[text], SourceSpan(lineno, start + 1, lineno, pos))
             else:  # isdecimal, not isdigit: int() rejects '²', which is a name
                 kind = "number" if text.isdecimal() else "name"
-            append(new(Token, (kind, text, lineno, start + 1, pos)))  # skips Token's Python __new__
+            yield new(Token, (kind, text, lineno, start + 1, end))  # skips Token's Python __new__
     end = len(lines[-1]) + 1
-    append(Token("eof", "", len(lines), end, end))
-    return tokens
+    yield Token("eof", "", len(lines), end, end)
+
+
+def tokenize(source: str) -> list[Token]:
+    return list(_tokens(source))
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+_BINDERS = {"λ": Lam, "lam": Lam, "Π": Pi, "Pi": Pi}
+# the tokens after a binder's domain and after a match's carrier
+_THEN = {":": (".",), "<": (">", "match")}
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.rest = iter(tokens)
+    def __init__(self, tokens: Iterator[Token]):
+        self.rest = tokens
         self.tok = next(self.rest)  # the next token, an attribute on the hot paths
         self.arrows = 0  # the tag of the last arrow binder
-
-    def advance(self) -> Token:
-        tok = self.tok
-        self.tok = next(self.rest, tok)  # eof, the last token, repeats
-        return tok
 
     def expect(self, kind: str) -> Token:
         tok = self.tok
         if tok.kind != kind:
-            shown = tok.value or tok.kind
-            fail("Parse", f"expected '{kind}', found '{shown}'", tok.span)
-        self.tok = next(self.rest, tok)
+            fail("Parse", f"expected '{kind}', found '{tok.value or tok.kind}'", tok.span)
+        self.tok = next(self.rest, tok)  # eof, the last token, repeats
         return tok
 
-    def name(self) -> tuple[Name, SourceSpan]:
+    def name(self, seen=(), what: str = "") -> tuple[Name, SourceSpan]:
+        """A name, which must not be one of seen, the names of earlier `what`s."""
         tok = self.expect("name")
-        return Name(tok.value), tok.span
-
-    # -- declarations --------------------------------------------------
+        if (name := Name(tok.value)) in seen:
+            fail("Parse", f"duplicate {what} {name}", tok.span)
+        return name, tok.span
 
     def program(self, source_name: str) -> Program:
         decls: list[Decl] = []
         while self.tok.kind != "eof":
             decls.append(self.decl())
             if self.tok.kind == ";":
-                self.advance()
+                self.expect(";")
             elif self.tok.kind != "eof":
                 fail("Parse", "expected ';' between declarations", self.tok.span)
         return Program(decls, source_name)
@@ -166,9 +175,8 @@ class _Parser:
     def decl(self) -> Decl:
         tok = self.tok
         if tok.kind not in ("Axiom", "def", "Inductive"):
-            shown = tok.value or tok.kind
-            fail("Parse", f"expected a declaration, found '{shown}'", tok.span)
-        self.advance()
+            fail("Parse", f"expected a declaration, found '{tok.value or tok.kind}'", tok.span)
+        self.expect(tok.kind)
         name, span = self.name()
         if tok.kind == "Axiom":
             self.expect(":")
@@ -179,9 +187,7 @@ class _Parser:
             while self.tok.kind != ")":
                 if params:
                     self.expect(",")
-                pname, pspan = self.name()
-                if pname in params:
-                    fail("Parse", f"duplicate parameter {pname}", pspan)
+                pname, _ = self.name(params, "parameter")
                 self.expect(":")
                 params[pname] = self.expr()
             self.expect(")")
@@ -196,127 +202,121 @@ class _Parser:
         self.expect(":=")
         ctors: dict[Name, Term] = {}
         while self.tok.kind == "|":
-            self.advance()
-            cname, cspan = self.name()
-            if cname in ctors:
-                fail("Parse", f"duplicate constructor {cname}", cspan)
+            self.expect("|")
+            cname, _ = self.name(ctors, "constructor")
             self.expect(":")
             ctors[cname] = self.expr()
         return InductiveDeclSrc(name, arity, tuple(ctors.items()), span)
 
-    # -- expressions ---------------------------------------------------
-
     def expr(self) -> Term:
-        tok = self.tok
-        if tok.kind in ("λ", "lam", "Π", "Pi"):
-            self.advance()
-            binder = Name(self.expect("name").value)
-            self.expect(":")
-            domain = self.expr()
-            self.expect(".")
-            body = self.expr()
-            node = Lam if tok.kind in ("λ", "lam") else Pi
-            return node(binder, domain, body, span=tok.span)
-        left = self.atom()
-        if self.tok.kind == "->":
-            arrow = self.advance()
-            right = self.expr()
-            self.arrows += 1
-            return Pi(Name("x", self.arrows), left, right, span=arrow.span)
-        return left
+        """One expression, read in one loop over a stack of the constructs open
+        around the next token, innermost last, so nesting takes no Python frames.
+        A frame starts with the token its open part follows: '(' (or a part after
+        it), a binder's ':' or '.', '->', or a match's '<', 'match' or '=>'.
+        `term` is None while an expression is to be read, else the one just read."""
+        stack: list[tuple] = []
+        rest, new = self.rest, tuple.__new__  # new skips Name's Python __new__
+        term = None
+        while True:
+            if term is None:
+                tok = self.tok
+                self.tok = next(rest, tok)
+                kind = tok.kind
+                if kind == "name":
+                    term = Var(new(Name, (tok.value, 0)), tok.span)
+                elif kind in ("(", "<"):
+                    stack.append((kind, tok))
+                elif kind in _BINDERS:
+                    stack.append((":", tok, new(Name, (self.expect("name").value, 0))))
+                    self.expect(":")
+                elif kind in ("Set", "Prop"):
+                    term = Universe(0, tok.span)
+                elif kind == "Type":
+                    level = int(self.expect("number").value) if self.tok.kind == "number" else 1
+                    term = Universe(level, tok.span)
+                else:
+                    fail("Parse", f"expected an expression, found '{tok.value or kind}'", tok.span)
+            elif self.tok.kind == "->":  # only an atom can end just before '->'
+                stack.append(("->", self.expect("->"), term))
+                term = None
+            elif not stack:
+                return term
+            else:
+                frame = stack.pop()
+                kind, tok = frame[0], frame[1]
+                if kind == "(":
+                    if len(frame) == 3:  # the parts before this one, applied
+                        term = App(frame[2], term, tok.span)
+                    if self.tok.kind == ")":
+                        self.expect(")")
+                    else:
+                        stack.append((kind, tok, term))
+                        term = None
+                elif kind == "->":  # arrows are numbered in the order they close
+                    self.arrows += 1
+                    term = Pi(new(Name, ("x", self.arrows)), frame[2], term, tok.span)
+                elif kind == ".":
+                    term = _BINDERS[tok.kind](frame[2], frame[3], term, tok.span)
+                elif kind in _THEN:  # after a binder's domain or a match's carrier
+                    for expected in _THEN[kind]:
+                        self.expect(expected)
+                    stack.append((_THEN[kind][-1], *frame[1:], term))
+                    term = None
+                else:  # after a match's scrutinee or one of its branches
+                    if kind == "match":
+                        self.expect("with")
+                        self.expect("{")
+                        frame = ("=>", tok, frame[2], term, {}, None)
+                    else:
+                        frame[4][frame[5]] = term
+                    term = self.branch(stack, *frame[1:5])
 
-    def atom(self) -> Term:
-        tok = self.tok
-        if tok.kind == "(":
-            self.advance()
-            parts = [self.expr()]
-            while self.tok.kind != ")":
-                parts.append(self.expr())
-            self.expect(")")
-            term = parts[0]
-            for arg in parts[1:]:
-                term = App(term, arg, span=tok.span)
-            return term
-        if tok.kind == "name":
-            self.advance()
-            return Var(Name(tok.value), span=tok.span)
-        if tok.kind in ("Set", "Prop"):
-            self.advance()
-            return Universe(0, span=tok.span)
-        if tok.kind == "Type":
-            self.advance()
-            if self.tok.kind == "number":
-                return Universe(int(self.advance().value), span=tok.span)
-            return Universe(1, span=tok.span)
-        if tok.kind == "<":
-            return self.match_expr()
-        shown = tok.value or tok.kind
-        fail("Parse", f"expected an expression, found '{shown}'", tok.span)
-
-    def match_expr(self) -> Term:
-        start = self.expect("<")
-        carrier = self.expr()
-        self.expect(">")
-        self.expect("match")
-        scrutinee = self.expr()
-        self.expect("with")
-        self.expect("{")
-        branches: dict[Name, Term] = {}
-        while self.tok.kind != "}":
-            if branches:
-                self.expect(";")
-                if self.tok.kind == "}":
-                    break
-            cname, cspan = self.branch_pattern()
-            if cname in branches:
-                fail("Parse", f"duplicate branch for constructor {cname}", cspan)
-            self.expect("=>")
-            branches[cname] = self.expr()
-        self.expect("}")
-        return Match(_carrier_to_abstraction(carrier), scrutinee, tuple(branches.items()),
-                     span=start.span)
-
-    def branch_pattern(self) -> tuple[Name, SourceSpan]:
+    def branch(self, stack: list[tuple], start: Token, carrier: Term, scrutinee: Term,
+               branches: dict[Name, Term]) -> Term | None:
+        """The match, if '}' closes it; else None, once the next branch is open."""
+        if self.tok.kind != "}" and branches:
+            self.expect(";")
+        if self.tok.kind == "}":
+            self.expect("}")
+            leading = []  # a carrier's leading Π binders mean λ binders, the same family
+            while isinstance(carrier, Pi):
+                leading.append(carrier)
+                carrier = carrier.body
+            for pi in reversed(leading):
+                carrier = Lam(pi.binder, pi.domain, carrier, pi.span)
+            return Match(carrier, scrutinee, tuple(branches.items()), start.span)
         if self.tok.kind == "(":
-            self.advance()
+            self.expect("(")
             cname, cspan = self.name()
             while self.tok.kind == "name":  # argument names are ignored
-                self.advance()
+                self.expect("name")
             self.expect(")")
-            return cname, cspan
-        return self.name()
+        else:
+            cname, cspan = self.name()
+        if cname in branches:
+            fail("Parse", f"duplicate branch for constructor {cname}", cspan)
+        self.expect("=>")
+        stack.append(("=>", start, carrier, scrutinee, branches, cname))
+        return None
 
-
-def _carrier_to_abstraction(carrier: Term) -> Term:
-    """Carriers are sometimes written with Π instead of λ; both mean the
-    same type family, so rewrite leading Π binders into λ."""
-    if isinstance(carrier, Pi):
-        return Lam(carrier.binder, carrier.domain,
-                   _carrier_to_abstraction(carrier.body), span=carrier.span)
-    return carrier
-
-
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
 
 def parse_program(source: str, source_name: str = "<input>",
                   prelude: bool = True) -> Program:
     """Parse a whole `.pie` file. Raises CheckError with a Parse diagnostic
     on the first lexical or grammatical failure."""
-    program = _Parser(tokenize(source)).program(source_name)
+    program = _Parser(_tokens(source)).program(source_name)
     if prelude:
         program.decls = [*_PRELUDE_DECLS, *program.decls]
     return program
 
 
 # declarations are immutable, so all programs share them
-_PRELUDE_DECLS = tuple(_Parser(tokenize(PRELUDE)).program("<prelude>").decls)
+_PRELUDE_DECLS = tuple(_Parser(_tokens(PRELUDE)).program("<prelude>").decls)
 
 
 def parse_term(source: str) -> Term:
     """Parse a single expression (used by tests and tools)."""
-    parser = _Parser(tokenize(source))
+    parser = _Parser(_tokens(source))
     term = parser.expr()
     parser.expect("eof")
     return term
@@ -329,6 +329,6 @@ def desugar_def(d: DefDecl) -> tuple[Term, Term]:
     declared: Term = d.result_type
     value: Term = d.body
     for pname, ptype in reversed(d.params):
-        declared = Pi(pname, ptype, declared, span=d.span)
-        value = Lam(pname, ptype, value, span=d.span)
+        declared = Pi(pname, ptype, declared, d.span)
+        value = Lam(pname, ptype, value, d.span)
     return declared, value

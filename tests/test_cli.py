@@ -10,7 +10,8 @@ import pytest
 
 import pielang
 from conftest import corpus_source
-from pielang import Context
+from pielang import Context, DefDecl, parse_program
+from pielang.syntax import children
 from pielang.cli import (
     NEGATIVE_CORPUS,
     POSITIVE_CORPUS,
@@ -136,6 +137,16 @@ def nested(shape: str, depth: int) -> str:
     return NAT + "def d() : Nat { " + "(" * depth + "Zero" + ")" * depth + " };"
 
 
+def nesting(term) -> int:
+    """The number of nodes on term's longest path, counted without recursion."""
+    deepest, stack = 0, [(term, 1)]
+    while stack:
+        term, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in children(term))
+    return deepest
+
+
 class TestDepth:
     # Depth 400 is accepted in each of these shapes at Python's default
     # recursion limit. A failure here means the parser or the checker takes
@@ -149,6 +160,32 @@ class TestDepth:
         thread.join(timeout=60)
         assert len(reports) == 1, "the check raised; see the thread's traceback"
         assert reports[0].exit_code == 0, reports[0].lines()
+
+    # The parser takes no Python frame per nesting level, so any depth parses
+    # at the default limit (the deep shapes other than parentheses then still
+    # crash in `type_check`). Parentheses around one atom leave no node.
+    @pytest.mark.parametrize("source, depth", [
+        (nested("numeral", 5000), 5001),
+        (nested("arrow", 5000), 5001),
+        (nested("binder", 5000), 5001),
+        (nested("paren", 5000), 1),
+        (NAT + "def d() : Nat { " + "<λn:Nat.Nat> match Zero with { Zero => " * 2000
+         + "Zero" + " }" * 2000 + " };", 2002),
+        (NAT + "def d() : Nat { <" + "".join(f"Πn{i}:Nat." for i in range(2000))
+         + "Nat> match Zero with { Zero => Zero } };", 2002),
+    ], ids=["numeral", "arrow", "binder", "paren", "matches", "carrier"])
+    def test_any_depth_parses_at_the_default_recursion_limit(self, source, depth):
+        assert sys.getrecursionlimit() == 1000
+        decl = parse_program(source).decls[-1]
+        assert nesting(decl.body if isinstance(decl, DefDecl) else decl.type) == depth
+
+    # 500 parentheses used to raise RecursionError out of the parser
+    @pytest.mark.parametrize("depth", [500, 5000])
+    def test_deep_parentheses_check_like_shallow_ones(self, depth):
+        assert sys.getrecursionlimit() == 1000
+        report = check_source(nested("paren", depth))
+        assert report.exit_code == 0
+        assert report.lines(dump_types=True) == check_source(nested("paren", 10)).lines(dump_types=True)
 
 
 class TestMain:

@@ -160,6 +160,9 @@ class TestDeclarations:
     @pytest.mark.parametrize("source, message", [
         ("Axiom o : Set;\nAxiom p : o - o;", "2:13: stray '-' (expected '->')"),
         ("Axiom o : Set;\n  Axiom p = o;", "2:11: stray '=' (expected '=>' or ':=')"),
+        # the first stray character wins over a grammar error before it
+        ("Axiom a : (;\nAxiom b : A - B;", "2:13: stray '-' (expected '->')"),
+        ("-- a - b := c\nInductive N : Set := | Z :=> N;\nAxiom p : N =- N;", "3:13: stray '=' (expected '=>' or ':=')"),
     ])
     def test_stray_character_location(self, source, message):
         with pytest.raises(CheckError) as err:
