@@ -3,13 +3,16 @@
 Evaluation maps a term and an environment to a value: a closure (a term
 paired with the environment it was met in) for λ, Π, universes,
 inductives, constructors and fixpoints; or a neutral value for a stuck
-variable, application or match. Beta reduction extends a closure's
-environment instead of substituting. Names bound in the context unfold
+variable, application or match. `_Evaluator.eval` is one loop over a term
+and the values it is applied to. An application pushes the values of its
+arguments and goes on with its head. Beta reduction extends a closure's
+environment instead of substituting, names bound in the context unfold
 (delta), matches reduce on a constructor-headed scrutinee (iota), and a
 fixpoint unfolds only once its decreasing argument is constructor-headed;
-a name bound to a fixpoint stays that name until then. Inductives,
-constructors, fixpoints and the carrier and branches of a stuck match are
-not evaluated inside.
+a name bound to a fixpoint stays that name until then. Each of these goes
+round the loop, so only an argument or a scrutinee costs a Python frame.
+Inductives, constructors, fixpoints and the carrier and branches of a stuck
+match are not evaluated inside.
 
 A λ or Π closure evaluates its domain, and its body under a variable of
 its own, the first time it is looked inside, and keeps both. `normalise`
@@ -17,15 +20,16 @@ reads a value back to a term. Each binder keeps its own name unless a free
 variable of the same name occurs in its body. The read-back notes such
 captures on a first pass and, only if it found one, reads the value back
 once more with those binders renamed to names nothing else read back has.
-`check_equal` compares two values one weak-head level at a time and stops
-at the first mismatch; it reads back only what evaluation does not look
-inside. Beta, delta, iota and fixpoint unfolding each draw a step from a
-budget, so adversarial input raises BudgetExceeded instead of hanging the
-kernel.
+`check_equal` compares two values one weak-head level at a time, in a loop
+over a stack of pairs, and stops at the first mismatch; it reads back only
+what evaluation does not look inside. Beta, delta, iota and fixpoint
+unfolding each draw a step from a budget, so adversarial input raises
+BudgetExceeded instead of hanging the kernel.
 """
 from __future__ import annotations
 
 import sys
+from itertools import repeat
 
 from .context import Context
 from .syntax import (
@@ -148,64 +152,58 @@ class _Evaluator:
         if self.remaining < 0:
             raise BudgetExceeded(self.budget)
 
-    def eval(self, t: Term, env: dict):
-        kind = type(t)
-        if kind in _CLOSED_TERMS:
-            return _Closure(t, env)
-        if kind is Var:
-            v = env.get(t.name) if env else None
-            if v is not None:
-                return v
-            value = self.ctxt.lookup_val(t.name)
-            if value is None:
-                return _VVar(t)
-            if type(value) is Fix:
-                return _VVar(t, value)
-            self.tick()
-            return self.eval(value, {})
-        if kind is App:
-            head, args = spine(t)
-            f = self.eval(head, env)
-            for a in args:
-                f = self.apply(f, self.eval(a, env))
-            return f
-        if kind is Match:
-            s = self.eval(t.scrutinee, env)
-            c, args = _constructor(s)
-            if c is None:
-                return _VMatch(t, s, env)
-            self.tick()
-            return self.apply_all(self.eval(t.branches[c.index - 1][1], env), args)
-        raise TypeError(f"not a term: {t!r}")
-
-    def apply(self, f, a):
-        if type(f) is _Closure and type(f.term) is Lam:
-            self.tick()
-            lam = f.term
-            return self.eval(lam.body, {**f.env, lam.binder: a})
-        head, args = (f.head, f.args + (a,)) if type(f) is _VApp else (f, (a,))
-        if type(head) is _VVar:
-            fix, env = head.fix, {}
-        elif type(head) is _Closure and type(head.term) is Fix:
-            fix, env = head.term, head.env
-        else:
-            fix = None
-        if fix is not None and len(args) > fix.dec_index:
-            if _constructor(args[fix.dec_index])[0] is not None:
+    def eval(self, t: Term, env: dict, args: tuple = ()):
+        """The value of t in env applied to the values args."""
+        while True:
+            kind = type(t)
+            if kind is App:
+                t, spine_args = spine(t)
+                values = []
+                for a in spine_args:
+                    values.append(self.eval(a, env))
+                args = (*values, *args)
+                continue
+            if kind is Var:
+                f = env.get(t.name) if env else None
+                if f is None:
+                    value = self.ctxt.lookup_val(t.name)
+                    if value is None or type(value) is Fix:
+                        f = _VVar(t, value)
+                    else:
+                        self.tick()
+                        t, env = value, {}
+                        continue
+            elif kind is Match:
+                f = self.eval(t.scrutinee, env)
+                c, c_args = _constructor(f)
+                if c is not None:
+                    self.tick()
+                    t, args = t.branches[c.index - 1][1], c_args + args
+                    continue
+                f = _VMatch(t, f, env)
+            elif kind in _CLOSED_TERMS:
+                f = _Closure(t, env)
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            if not args:
+                return f
+            if type(f) is _Closure and type(f.term) is Lam:
                 self.tick()
-                # stuck recursive calls keep the name the context binds to
-                # this fixpoint, so they compare equal to calls written with it
-                if self.ctxt.lookup_val(fix.name) is fix:
-                    itself = _VVar(Var(fix.name), fix)
-                else:
-                    itself = _Closure(fix, env)
-                return self.apply_all(self.eval(fix.body, {**env, fix.name: itself}), args)
-        return _VApp(head, args)
-
-    def apply_all(self, f, args):
-        for a in args:
-            f = self.apply(f, a)
-        return f
+                t, env, args = f.term.body, {**f.env, f.term.binder: args[0]}, args[1:]
+                continue
+            if type(f) is _VApp:
+                f, args = f.head, f.args + args
+            fix = f.fix if type(f) is _VVar else f.term if type(f) is _Closure else None
+            if type(fix) is not Fix or len(args) <= fix.dec_index or (
+                    _constructor(args[fix.dec_index])[0] is None):
+                return _VApp(f, args)
+            self.tick()
+            env = {} if type(f) is _VVar else f.env
+            # stuck recursive calls keep the name the context binds to this
+            # fixpoint, so they compare equal to calls written with it
+            itself = (_VVar(Var(fix.name), fix) if self.ctxt.lookup_val(fix.name) is fix
+                      else _Closure(fix, env))
+            t, env = fix.body, {**env, fix.name: itself}
 
     def open(self, c: _Closure) -> None:
         """Evaluate a λ or Π closure's domain, and its body under a new
@@ -305,38 +303,40 @@ class _Evaluator:
 # Conversion
 # ---------------------------------------------------------------------------
 
-def _convert(left: _Evaluator, right: _Evaluator, u, v, depth: int) -> bool:
+def _convert(left: _Evaluator, right: _Evaluator, u, v) -> bool:
     """Whether u, evaluated by left, and v, evaluated by right, read back to
-    alpha-equivalent terms. Compares one weak-head level at a time."""
-    while True:
-        tu, tv = type(u), type(v)
-        if tu is not tv:
+    alpha-equivalent terms. Compares one weak-head level at a time: a spine's
+    head, then its arguments left to right; a binder's domain, then its body."""
+    pairs = [(u, v, 0)]
+    while pairs:
+        u, v, depth = pairs.pop()
+        tu = type(u)
+        if tu is not type(v):
             return False
         if tu is _VVar:
-            return left.names.get(u, u.term).name == right.names.get(v, v.term).name
-        if tu is _VApp:
-            if len(u.args) != len(v.args) or not _convert(left, right, u.head, v.head, depth):
+            if left.names.get(u, u.term).name != right.names.get(v, v.term).name:
                 return False
-            for a, b in zip(u.args[:-1], v.args[:-1]):
-                if not _convert(left, right, a, b, depth):
-                    return False
-            u, v = u.args[-1], v.args[-1]
-            continue
-        if tu is _VMatch or type(u.term) not in (Lam, Pi):
+        elif tu is _VApp:
+            if len(u.args) != len(v.args):
+                return False
+            pairs.extend(zip(reversed(u.args), reversed(v.args), repeat(depth)))
+            pairs.append((u.head, v.head, depth))
+        elif tu is _VMatch or type(u.term) not in (Lam, Pi):
             # not evaluated inside: compare what the two sides read back to
-            return alpha_eq(left.read_back(u), right.read_back(v))
-        if type(u.term) is not type(v.term):
+            if not alpha_eq(left.read_back(u), right.read_back(v)):
+                return False
+        elif type(u.term) is not type(v.term):
             return False
-        left.open(u)
-        right.open(v)
-        if not _convert(left, right, u.domain, v.domain, depth):
-            return False
-        # the two bodies' variables read back as one name, unlike any source
-        # or fresh name (its tag is negative) and any an enclosing binder
-        # pair reads back as (its depth differs)
-        left.names[u.var] = right.names[v.var] = Var(Name("", -1 - depth))
-        u, v = u.body, v.body
-        depth += 1
+        else:
+            left.open(u)
+            right.open(v)
+            # the two bodies' variables read back as one name, unlike any source
+            # or fresh name (its tag is negative) and any an enclosing binder pair
+            # reads back as (its depth differs); the domains cannot mention them
+            left.names[u.var] = right.names[v.var] = Var(Name("", -1 - depth))
+            pairs.append((u.body, v.body, depth + 1))
+            pairs.append((u.domain, v.domain, depth))
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -372,5 +372,5 @@ def check_equal(a: Term, b: Term, ctxt: Context, budget: int | None = None) -> b
         return alpha_eq(a, b)  # what _convert answers, without an evaluator
     left, right = _Evaluator(ctxt, budget), _Evaluator(ctxt, budget)
     return _within_depth_limit(
-        lambda: _convert(left, right, left.eval(a, {}), right.eval(b, {}), 0)
+        lambda: _convert(left, right, left.eval(a, {}), right.eval(b, {}))
     )

@@ -232,7 +232,13 @@ class _Parser:
                 elif kind in ("Set", "Prop"):
                     term = Universe(0, tok.span)
                 elif kind == "Type":
-                    level = int(self.expect("number").value) if self.tok.kind == "number" else 1
+                    level = 1
+                    if self.tok.kind == "number":
+                        number = self.expect("number")
+                        try:
+                            level = int(number.value)
+                        except ValueError:  # more digits than int() reads
+                            fail("Parse", "universe level has too many digits", number.span)
                     term = Universe(level, tok.span)
                 else:
                     fail("Parse", f"expected an expression, found '{tok.value or kind}'", tok.span)

@@ -333,6 +333,45 @@ def _aeq(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def pretty(t: Term) -> str:
+    """t as text. A λ or Π body and a spine's last argument are printed by
+    the loop, not by a call, so a chain of them prints at any depth."""
+    parts, closing = [], 0
+    while True:
+        kind = type(t)
+        if kind is App:
+            head, args = spine(t)
+            parts.append(f"({' '.join(map(pretty, (head, *args[:-1])))} ")
+            closing += 1
+            t = t.arg
+        elif kind is Lam:
+            parts.append(f"λ{t.binder}:{_atom(t.domain)}.")
+            t = t.body
+        elif kind is Pi:
+            x = t.binder
+            if x.fresh_tag != 0 and x not in _chain_free_vars(t.body):
+                parts.append(f"{_atom(t.domain)} -> ")
+            else:
+                parts.append(f"Π{x}:{_atom(t.domain)}.")
+            t = t.body
+        elif parts:
+            return "".join(parts) + _leaf(t) + ")" * closing
+        else:
+            return _leaf(t)
+
+
+def _chain_free_vars(t: Term) -> frozenset[Name]:
+    """free_vars(t), computed from the bottom of t's chain of λ/Π bodies and
+    last arguments up, so that no call recurses down that chain."""
+    chain = [t]
+    while type(t) in (Lam, Pi, App) and "_free_vars" not in t.__dict__:
+        t = t.arg if type(t) is App else t.body
+        chain.append(t)
+    for u in reversed(chain):
+        free_vars(u)
+    return free_vars(chain[0])
+
+
+def _leaf(t: Term) -> str:
     match t:
         case Var(name=n) | Ind(name=n):
             return str(n)
@@ -340,16 +379,6 @@ def pretty(t: Term) -> str:
             return "Set"
         case Universe(level=i):
             return f"(Type {i})"
-        case Lam(binder=x, domain=d, body=b):
-            return f"λ{x}:{_atom(d)}.{pretty(b)}"
-        case Pi(binder=x, domain=d, body=b):
-            if x.fresh_tag != 0 and x not in free_vars(b):
-                return f"{_atom(d)} -> {pretty(b)}"
-            return f"Π{x}:{_atom(d)}.{pretty(b)}"
-        case App():
-            head, args = spine(t)
-            parts = " ".join(pretty(u) for u in (head, *args))
-            return f"({parts})"
         case Constr(index=i, inductive=ind):
             if isinstance(ind, Ind) and 1 <= i <= len(ind.constructors):
                 return str(ind.constructors[i - 1][0])

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -188,6 +189,24 @@ class TestDepth:
         assert report.lines(dump_types=True) == check_source(nested("paren", 10)).lines(dump_types=True)
 
 
+    # pretty prints a spine's last argument and a binder's body in a loop, so
+    # normal forms hundreds of levels deep print at the default limit
+    def test_deep_normal_forms_print(self):
+        assert sys.getrecursionlimit() == 1000
+        defs = NAT + "Inductive Eq : Nat -> Nat -> Set := | Eq_Rfl : Πn:Nat.(Eq n n);\n"
+        defs += "def d0() : Nat { Zero };\n"
+        defs += "".join(f"def d{i}() : Nat {{ (Succ d{i - 1}) }};\n" for i in range(1, 401))
+        report = check_source(defs + "def t() : (Eq d400 d399) { (Eq_Rfl d400) };")
+        assert report.exit_code == 1
+        [line] = report.lines()
+        numerals = ["(Succ " * k + "Zero" + ")" * k for k in (400, 399, 400, 400)]
+        assert line == ("error[T-App] <input>:404:5: definition t does not have its declared type"
+                        " (expected (Eq {} {}), got (Eq {} {}))".format(*numerals))
+        report = check_source(defs, normalize_name="d340")
+        assert report.exit_code == 0
+        assert report.lines() == ["d340 ~> " + "(Succ " * 340 + "Zero" + ")" * 340]
+
+
 class TestMain:
     def test_exit_zero_on_success(self, capsys):
         assert main(["check", str(corpus_path("fol.pie"))]) == 0
@@ -257,6 +276,21 @@ class TestPackage:
     @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
     def test_no_module_imports_inside_a_function(self, module):
         assert [(f, m) for f, m in _imports(PACKAGE / module) if f is not None] == []
+
+    # `import pielang.X` runs `__init__.py` first, which imports the modules in
+    # one fixed order; a stub package in a fresh interpreter lets X go first,
+    # so an import cycle that only that order hides shows up
+    @pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                              if p.stem != "__init__"))
+    def test_each_module_imports_first(self, module):
+        code = ("import importlib, sys, types\n"
+                "package = types.ModuleType('pielang')\n"
+                "package.__path__ = [sys.argv[1]]\n"
+                "sys.modules['pielang'] = package\n"
+                "importlib.import_module('pielang.' + sys.argv[2])\n")
+        result = subprocess.run([sys.executable, "-c", code, str(PACKAGE), module],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
 
     def test_the_parser_imports_no_typing_module(self):
         local = {m for _, m in _imports(PACKAGE / "parser.py") if m.startswith(".")}

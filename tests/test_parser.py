@@ -226,6 +226,12 @@ class TestRobustness:
         assert report.exit_code == 1
         assert [d.rule for d in report.diagnostics] == ["Parse"]
 
+    def test_universe_level_beyond_int_digits_is_a_parse_error(self):
+        # int() reads at most 4300 digits by default
+        report = check_source("Axiom A : Type " + "9" * 5000 + ";")
+        assert report.exit_code == 1
+        assert report.lines() == ["error[Parse] <input>:1:16: universe level has too many digits"]
+
     def test_round_trip_for_declared_corpus_types(self):
         for name in ("fol.pie", "fol_proof.pie", "eq_nat.pie", "peano.pie"):
             program = parse_program(corpus_source(name), prelude=False)

@@ -1,6 +1,8 @@
 """Term-level operations: free variables, substitution, alpha equivalence."""
 from __future__ import annotations
 
+import sys
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,15 @@ class TestPretty:
     def test_application_spine(self):
         t = parse_term("(f a b)")
         assert pretty(t) == "(f a b)"
+
+    @pytest.mark.parametrize("source", [
+        "(Succ " * 5000 + "Zero" + ")" * 5000,
+        " -> ".join(["A"] * 5001),
+        "".join(f"λx{i}:A." for i in range(5000)) + "x0",
+    ], ids=["numeral", "arrows", "lambdas"])
+    def test_deep_chains_print_at_the_default_recursion_limit(self, source):
+        assert sys.getrecursionlimit() == 1000
+        assert pretty(parse_term(source)) == source
 
     def test_round_trip_samples(self):
         samples = [
