@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .context import Context
 from .diagnostics import CheckError, Diagnostic
-from .normalize import BudgetExceeded, normalise
+from .normalize import normalise
 from .parser import parse_program
 from .syntax import Name, pretty
 from .typecheck import elaborate
@@ -81,8 +81,8 @@ def check_source(source: str, name: str = "<input>", *, prelude: bool = True,
             try:
                 normal = normalise(value, result.context)
                 report.extra_lines.append(f"{normalize_name} ~> {pretty(normal)}")
-            except BudgetExceeded as err:
-                report.diagnostics.append(Diagnostic("Budget", str(err)))
+            except CheckError as err:
+                report.diagnostics.append(err.diagnostic)
                 report.exit_code = 1
     return report
 

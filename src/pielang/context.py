@@ -1,11 +1,12 @@
 """Persistent typing environment: (name, type, optional value) bindings.
 
-Both maps of a context are versions of one persistent map built by shallow
-binding (Baker 1991) and rerooted as in Conchon & Filliâtre (2007). The version
-used last owns the single dict, and extending it takes constant time; every
-other version keeps the one entry by which it differs from its neighbour towards
-that one. Using another version first moves the dict to it, so a family of
-contexts (all extended from one `Context(...)`) is for one thread at a time.
+A context is a version of one persistent map built by shallow binding (Baker
+1991) and rerooted as in Conchon & Filliâtre (2007), in which the binding made
+last wins. The version used last owns the single dict, and extending it takes
+constant time; every other version keeps the one entry by which it differs
+from its neighbour towards that one. Using another version first moves the
+dict to it, so a family of contexts (all extended from one `Context(...)`) is
+for one thread at a time.
 """
 from __future__ import annotations
 
@@ -58,48 +59,35 @@ class _Version:
 
 
 class Context:
-    """Two persistent maps keyed by name: top-level names (axioms, defs,
-    inductives and constructors; see `declare`) and local binders (λ, Π,
-    fixpoint and inductive self-binders). Locals shadow top-level names.
-    Extending never changes what the receiver sees. Every context extended
-    from this one carries its normalization step budget."""
+    """One persistent map keyed by name, for top-level names (axioms, defs,
+    inductives and constructors) and local binders (λ, Π, fixpoint and
+    inductive self-binders) alike: the binding made last wins. Extending
+    never changes what the receiver sees. Every context extended from this
+    one carries its normalization step budget."""
 
-    __slots__ = ("_top", "_local", "budget")
+    __slots__ = ("_map", "budget")
 
     def __init__(self, bindings: tuple[Binding, ...] = (), budget: int | None = None):
-        self._top = _Version({b.name: b for b in bindings})  # a later binding wins
-        self._local = _Version({})
+        self._map = _Version({b.name: b for b in bindings})  # a later binding wins
         self.budget = DEFAULT_BUDGET if budget is None else budget
-
-    def _with(self, top: _Version, local: _Version) -> "Context":
-        new = object.__new__(Context)
-        new._top, new._local, new.budget = top, local, self.budget
-        return new
 
     @property
     def bindings(self) -> tuple[Binding, ...]:
-        """Top-level bindings in declaration order, then the locals."""
-        return (*self._top.reroot().values(), *self._local.reroot().values())
+        """Each name's last binding, in the order the names were first bound."""
+        return tuple(self._map.reroot().values())
 
     def declare(self, name: Name, type_: Term, value: Term | None = None) -> "Context":
-        binding = tuple.__new__(Binding, (name, type_, value))
-        return self._with(self._top.set(name, binding), self._local)
+        new = object.__new__(Context)
+        new._map = self._map.set(name, tuple.__new__(Binding, (name, type_, value)))
+        new.budget = self.budget
+        return new
 
-    def extend_type(self, name: Name, type_: Term) -> "Context":
-        binding = tuple.__new__(Binding, (name, type_, None))
-        return self._with(self._top, self._local.set(name, binding))
-
-    def extend_type_value(self, name: Name, type_: Term, value: Term) -> "Context":
-        binding = tuple.__new__(Binding, (name, type_, value))
-        return self._with(self._top, self._local.set(name, binding))
+    # typing's binders enter through extend_type, and the tracer wraps both names
+    extend_type = extend_type_value = declare
 
     def _lookup(self, name: Name) -> Binding | None:
-        m = self._local
-        b = (m.data if m.data is not None else m.reroot()).get(name)
-        if b is None:
-            m = self._top
-            b = (m.data if m.data is not None else m.reroot()).get(name)
-        return b
+        m = self._map
+        return (m.data if m.data is not None else m.reroot()).get(name)
 
     def lookup_type(self, name: Name) -> Term | None:
         b = self._lookup(name)

@@ -32,6 +32,7 @@ import sys
 from itertools import repeat
 
 from .context import Context
+from .diagnostics import CheckError, Diagnostic
 from .syntax import (
     App,
     Constr,
@@ -55,11 +56,11 @@ from .syntax import (
 _DEPTH_LIMIT = 4000
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(CheckError):
     """Raised when normalization exceeds its reduction-step budget."""
 
     def __init__(self, budget: int, reason: str = "step budget"):
-        super().__init__(f"normalization exceeded the {reason} of {budget}")
+        super().__init__(Diagnostic("Budget", f"normalization exceeded the {reason} of {budget}"))
         self.budget = budget
 
 

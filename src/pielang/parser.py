@@ -235,10 +235,10 @@ class _Parser:
                     level = 1
                     if self.tok.kind == "number":
                         number = self.expect("number")
-                        try:
-                            level = int(number.value)
-                        except ValueError:  # more digits than int() reads
+                        # by default str() writes at most 4300 digits, and typing prints level + 1
+                        if len(number.value) >= 4300:
                             fail("Parse", "universe level has too many digits", number.span)
+                        level = int(number.value)
                     term = Universe(level, tok.span)
                 else:
                     fail("Parse", f"expected an expression, found '{tok.value or kind}'", tok.span)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .context import Context
 from .diagnostics import CheckError, Diagnostic, fail
-from .normalize import BudgetExceeded, check_equal, normalise
+from .normalize import check_equal, normalise
 from .parser import AxiomDecl, DefDecl, InductiveDeclSrc, desugar_def
 from .syntax import (
     App,
@@ -176,9 +176,6 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
             if diag.span is None:
                 diag.span = decl.span
             result.diagnostics.append(diag)
-            result.entries.append((decl.name, getattr(decl, "type", None), "failed"))
-        except BudgetExceeded as err:
-            result.diagnostics.append(Diagnostic("Budget", str(err), decl.span))
             result.entries.append((decl.name, getattr(decl, "type", None), "failed"))
 
     result.context = ctxt

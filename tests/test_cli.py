@@ -255,21 +255,36 @@ class TestCorpusBundle:
 PACKAGE = Path(pielang.__file__).parent
 
 
-def _imports(module: Path):
-    """(function or None, imported module) for every import in module."""
+def _nodes(module: Path):
+    """(enclosing function or None, node) for every node in module."""
     found = []
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                found.extend((function, alias.name) for alias in child.names)
-            elif isinstance(child, ast.ImportFrom):
-                found.append((function, "." * child.level + (child.module or "")))
+            found.append((function, child))
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
                   else function)
 
     visit(ast.parse(module.read_text(encoding="utf-8")), None)
     return found
+
+
+def _imports(module: Path):
+    """(function or None, imported module) for every import in module."""
+    found = []
+    for function, node in _nodes(module):
+        if isinstance(node, ast.Import):
+            found.extend((function, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.append((function, "." * node.level + (node.module or "")))
+    return found
+
+
+# calls that change a setting of the whole process, which every other check
+# in it then sees; matched by the called name, however the module is imported
+PROCESS_SETTERS = {"setrecursionlimit", "set_int_max_str_digits", "stack_size"}
+# ROADMAP item 3 deletes this one and empties the list
+PROCESS_SETTERS_ALLOWED = {("normalize.py", "_within_depth_limit")}
 
 
 class TestPackage:
@@ -291,6 +306,13 @@ class TestPackage:
         result = subprocess.run([sys.executable, "-c", code, str(PACKAGE), module],
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+    def test_no_module_changes_a_process_wide_setting(self, module):
+        calls = {(module, function) for function, node in _nodes(PACKAGE / module)
+                 if isinstance(node, ast.Call)
+                 and ast.unparse(node.func).rsplit(".", 1)[-1] in PROCESS_SETTERS}
+        assert calls - PROCESS_SETTERS_ALLOWED == set()
 
     def test_the_parser_imports_no_typing_module(self):
         local = {m for _, m in _imports(PACKAGE / "parser.py") if m.startswith(".")}

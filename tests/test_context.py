@@ -61,6 +61,12 @@ def test_local_shadows_a_top_level_name_until_it_is_gone():
     assert top.lookup_val(x) == Universe(0)
 
 
+def test_a_later_declaration_shadows_a_local():
+    ctxt = Context().extend_type(x, Var(y)).declare(x, Universe(1), Universe(0))
+    assert ctxt.lookup_type(x) == Universe(1)
+    assert ctxt.lookup_val(x) == Universe(0)
+
+
 def test_declare_leaves_its_receiver_unchanged():
     base = Context().declare(x, Universe(0))
     declared = base.declare(y, Universe(1))
@@ -97,32 +103,22 @@ def test_bindings_lists_every_binding_in_order():
     assert Context(ctxt.bindings).bindings == ctxt.bindings
 
 
-# A model of a context: its top-level bindings and its local bindings as
-# tuples, each scanned from the end; the locals are searched first.
+# A model of a context: its bindings as one tuple, scanned from the end.
 
-def _found(entries: tuple[Binding, ...], name: Name) -> Binding | None:
-    for b in reversed(entries):
+def _model_lookup(model: tuple[Binding, ...], name: Name) -> Binding | None:
+    for b in reversed(model):
         if b.name == name:
             return b
     return None
 
 
-def _model_lookup(model, name: Name) -> Binding | None:
-    top, local = model
-    found = _found(local, name)
-    return found if found is not None else _found(top, name)
-
-
-def _model_bindings(model) -> tuple[Binding, ...]:
+def _model_bindings(model: tuple[Binding, ...]) -> tuple[Binding, ...]:
     """Each name's last binding, at the place of its first one."""
-    listed = []
-    for entries in model:
-        order = []
-        for b in entries:
-            if b.name not in order:
-                order.append(b.name)
-        listed.extend(_found(entries, name) for name in order)
-    return tuple(listed)
+    order = []
+    for b in model:
+        if b.name not in order:
+            order.append(b.name)
+    return tuple(_model_lookup(model, name) for name in order)
 
 
 _NAMES = (x, y, Name("z"))
@@ -139,7 +135,7 @@ _steps = st.lists(
 def test_every_version_of_a_context_tree_matches_the_model(steps, queries):
     """Extend random earlier versions, reading random versions in between
     (each read can move the shared dict), then read them in random order."""
-    versions, models = [Context()], [((), ())]
+    versions, models = [Context()], [()]
 
     def check(i: int, name: Name) -> None:
         ctxt, model = versions[i], models[i]
@@ -154,17 +150,14 @@ def test_every_version_of_a_context_tree_matches_the_model(steps, queries):
         if op == "query":
             check(i, name)
             continue
-        ctxt, (top, local) = versions[i], models[i]
+        ctxt, model = versions[i], models[i]
         type_, value = Universe(level), (None if op == "extend_type" else Var(name))
-        binding = Binding(name, type_, value)
         if op == "declare":
             versions.append(ctxt.declare(name, type_, value))
-            models.append(((*top, binding), local))
-            continue
-        if op == "extend_type":
+        elif op == "extend_type":
             versions.append(ctxt.extend_type(name, type_))
         else:
             versions.append(ctxt.extend_type_value(name, type_, value))
-        models.append((top, (*local, binding)))
+        models.append((*model, Binding(name, type_, value)))
     for pick, name in queries:
         check(pick % len(versions), name)

@@ -1,6 +1,8 @@
 """Evaluation to normal form and definitional equality."""
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import pytest
@@ -10,8 +12,10 @@ from conftest import elaborated
 from pielang import (
     App,
     BudgetExceeded,
+    CheckError,
     Constr,
     Context,
+    Diagnostic,
     Fix,
     Ind,
     Lam,
@@ -27,7 +31,7 @@ from pielang import (
     subst,
 )
 from pielang.cli import check_source
-from pielang.normalize import _DEPTH_LIMIT
+from pielang.normalize import _DEPTH_LIMIT, _Evaluator
 from pielang.syntax import apply_spine
 from strategies import add_terms, names, terms
 
@@ -114,6 +118,47 @@ class TestRecursion:
             assert str(err.value) == (
                 f"normalization exceeded the nesting depth limit of {_DEPTH_LIMIT}"
             )
+            assert isinstance(err.value, CheckError) and err.value.budget == _DEPTH_LIMIT
+            assert err.value.diagnostic == Diagnostic("Budget", str(err.value))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the depth limit is the process's recursion limit (ROADMAP item 3)")
+    def test_overlapping_normalisations_keep_the_depth_limit(self, monkeypatch):
+        """A enters, B enters, A leaves, B leaves: B must still run under the
+        depth limit, and the recursion limit must end where it started."""
+        read_back, before, limits = _Evaluator.read_back, sys.getrecursionlimit(), []
+        a_inside, b_inside, a_left = threading.Event(), threading.Event(), threading.Event()
+
+        def pausing_read_back(ev, value):
+            if threading.current_thread() is a:
+                a_inside.set()
+                b_inside.wait(timeout=30)
+            else:
+                b_inside.set()
+                a_left.wait(timeout=30)
+                limits.append(sys.getrecursionlimit())
+            return read_back(ev, value)
+
+        monkeypatch.setattr(_Evaluator, "read_back", pausing_read_back)
+        term = App(Lam(V, SET, Var(V)), SET)
+        a = threading.Thread(target=normalise, args=(term, EMPTY))
+        b = threading.Thread(target=normalise, args=(term, EMPTY))
+        try:
+            a.start()
+            assert a_inside.wait(timeout=30)
+            b.start()
+            a.join(timeout=30)
+            a_left.set()
+            b.join(timeout=30)
+            after = sys.getrecursionlimit()
+        finally:
+            b_inside.set()
+            a_left.set()
+            a.join(timeout=30)
+            b.join(timeout=30)
+            sys.setrecursionlimit(before)
+        assert limits and limits[0] >= _DEPTH_LIMIT
+        assert after == before
 
     def test_add_is_linear_in_the_numerals(self):
         ctxt = elaborated("add.pie").context

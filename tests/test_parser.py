@@ -232,6 +232,16 @@ class TestRobustness:
         assert report.exit_code == 1
         assert report.lines() == ["error[Parse] <input>:1:16: universe level has too many digits"]
 
+    def test_universe_level_whose_successor_cannot_be_printed_is_a_parse_error(self):
+        # T-App prints the def's type, Type 10**4300, which has 4301 digits
+        def_of = "Inductive Nat : Set := | Zero : Nat; def x() : Nat {{ Type {} }};".format
+        report = check_source(def_of("9" * 4300))
+        assert report.lines() == ["error[Parse] <input>:1:59: universe level has too many digits"]
+        assert check_source(def_of("9" * 4299)).lines() == [
+            "error[T-App] <input>:1:42: definition x does not have its declared type "
+            "(expected Nat, got (Type 1" + "0" * 4299 + "))"
+        ]
+
     def test_round_trip_for_declared_corpus_types(self):
         for name in ("fol.pie", "fol_proof.pie", "eq_nat.pie", "peano.pie"):
             program = parse_program(corpus_source(name), prelude=False)
