@@ -20,11 +20,15 @@ reads a value back to a term. Each binder keeps its own name unless a free
 variable of the same name occurs in its body. The read-back notes such
 captures on a first pass and, only if it found one, reads the value back
 once more with those binders renamed to names nothing else read back has.
-`check_equal` compares two values one weak-head level at a time, in a loop
-over a stack of pairs, and stops at the first mismatch; it reads back only
-what evaluation does not look inside. Beta, delta, iota and fixpoint
-unfolding each draw a step from a budget, so adversarial input raises
-BudgetExceeded instead of hanging the kernel.
+Conversion (`check_equal`, and `mismatch`, which also gives the normal forms
+of two terms that differ) first compares the two terms syntactically:
+alpha-equal terms are equal with no evaluation. Otherwise it compares their
+values one weak-head level at a time, in a loop over a stack of pairs, and
+stops at the first mismatch; it reads back only what evaluation does not
+look inside. When the two differ, their normal forms are read back from the
+values the comparison built. Beta, delta, iota and fixpoint unfolding each
+draw a step from a budget, so adversarial input raises BudgetExceeded
+instead of hanging the kernel.
 """
 from __future__ import annotations
 
@@ -323,7 +327,10 @@ def _convert(left: _Evaluator, right: _Evaluator, u, v) -> bool:
             pairs.extend(zip(reversed(u.args), reversed(v.args), repeat(depth)))
             pairs.append((u.head, v.head, depth))
         elif tu is _VMatch or type(u.term) not in (Lam, Pi):
-            # not evaluated inside: compare what the two sides read back to
+            # not evaluated inside: compare what the two sides read back to,
+            # which is the term itself for one term in no environment
+            if tu is _Closure and u.term is v.term and not u.env and not v.env:
+                continue
             if not alpha_eq(left.read_back(u), right.read_back(v)):
                 return False
         elif type(u.term) is not type(v.term):
@@ -365,13 +372,61 @@ def normalise(e: Term, ctxt: Context, budget: int | None = None) -> Term:
     return _within_depth_limit(lambda: ev.read_back(ev.eval(e, {})))
 
 
+def _unfold_inert(t: Term, ctxt: Context) -> Term:
+    """The universe, inductive or constructor that the name t is bound to,
+    as evaluation would unfold it; otherwise t. A name bound to a fixpoint
+    stays, as it does in evaluation until it unfolds, and so does a name
+    bound to a def, whose value is worth comparing only once evaluated."""
+    if type(t) is Var:
+        value = ctxt.lookup_val(t.name)
+        if type(value) in (Universe, Ind, Constr):
+            return value
+    return t
+
+
+def _compare(a: Term, b: Term, ctxt: Context, budget: int | None):
+    """None if a and b are definitionally equal; otherwise a function that
+    reads back their normal forms, in that order, from the values the
+    comparison built. Alpha-equal terms, once a name bound to an inert term
+    is unfolded, are equal with no evaluation and no step drawn."""
+    a, b = _unfold_inert(a, ctxt), _unfold_inert(b, ctxt)
+    if alpha_eq(a, b):
+        return None
+    left, right = _Evaluator(ctxt, budget), _Evaluator(ctxt, budget)
+
+    def convert():
+        u, v = left.eval(a, {}), right.eval(b, {})
+        return None if _convert(left, right, u, v) else (u, v)
+
+    values = _within_depth_limit(convert)
+    if values is None:
+        return None
+
+    def read_back():
+        # The comparison drew each side's steps from what normalising that
+        # side draws, and opened closures once, so finishing the read-back
+        # draws the same total from the same budget and builds the same term;
+        # the names it gave binder pairs do not matter, since the read-back
+        # names each binder it enters afresh. b is read back first: typing
+        # passes the expected type as b, and the side normalised first names
+        # the refusal if both run out.
+        expected = right.read_back(values[1])
+        return left.read_back(values[0]), expected
+
+    return lambda: _within_depth_limit(read_back)
+
+
 def check_equal(a: Term, b: Term, ctxt: Context, budget: int | None = None) -> bool:
     """Definitional equality. Each side draws on a budget of its own, as it
     would when normalised on its own, and evaluates nothing that
-    normalising it would not."""
-    if isinstance(a, _INERT_TERMS) and isinstance(b, _INERT_TERMS):
-        return alpha_eq(a, b)  # what _convert answers, without an evaluator
-    left, right = _Evaluator(ctxt, budget), _Evaluator(ctxt, budget)
-    return _within_depth_limit(
-        lambda: _convert(left, right, left.eval(a, {}), right.eval(b, {}))
-    )
+    normalising it would not; alpha-equal sides evaluate nothing at all."""
+    return _compare(a, b, ctxt, budget) is None
+
+
+def mismatch(a: Term, b: Term, ctxt: Context,
+             budget: int | None = None) -> tuple[Term, Term] | None:
+    """None if a and b are definitionally equal, as check_equal decides;
+    otherwise their normal forms, as normalise gives them, read back from
+    the values the comparison already built instead of evaluated again."""
+    differ = _compare(a, b, ctxt, budget)
+    return None if differ is None else differ()

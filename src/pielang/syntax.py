@@ -296,35 +296,69 @@ def _under_binder(sigma: dict[Name, Term], binder: Name, scope: list[Term]):
 # ---------------------------------------------------------------------------
 
 def alpha_eq(a: Term, b: Term) -> bool:
-    return a is b or _aeq(a, b, {}, {}, 0)
-
-
-def _aeq(a: Term, b: Term, ea: dict, eb: dict, depth: int) -> bool:
-    """ea and eb map each bound name to the depth of its binder."""
-    kind = type(a)
-    if kind is not type(b):
-        return False
-    if kind is Var:  # bound by binders at the same depth, or free and the same name
-        lx, ly = ea.get(a.name), eb.get(b.name)
-        return lx == ly and (lx is not None or a.name == b.name)
-    if kind is Universe:
-        return a.level == b.level
-    roles, values, _ = _SHAPES[kind]
-    for role, u, v in zip(roles, values(a), values(b)):
-        if role is BINDER:
-            inner_a, inner_b = {**ea, u: depth}, {**eb, v: depth}
-        elif role is DATA:
-            if u != v:
+    """Whether a and b differ only in the names of their binders. One loop
+    over a stack of pairs, so it takes no Python frame per level; each name
+    has a stack of the depths of the binders in scope that bind it, pushed
+    and popped, so the time and memory are linear in the terms' size."""
+    bound_a: dict[Name, list[int]] = {}
+    bound_b: dict[Name, list[int]] = {}
+    # binder pairs in scope whose two names differ; while there are none, both
+    # sides bind the same names at the same depths, so one object is equal to itself
+    skew = 0
+    # pairs of terms at a depth; a pair of names enters a binder pair at a depth,
+    # or leaves it (depth None)
+    work = [(a, b, 0)]
+    while work:
+        a, b, depth = work.pop()
+        kind = type(a)
+        if kind is Name:
+            if depth is None:
+                bound_a[a].pop()
+                bound_b[b].pop()
+            else:
+                bound_a.setdefault(a, []).append(depth)
+                bound_b.setdefault(b, []).append(depth)
+            if a != b:
+                skew += 1 if depth is not None else -1
+            continue
+        if a is b and not skew:
+            continue
+        if kind is not type(b):
+            return False
+        if kind is Var:  # bound by binders at the same depth, or free and the same name
+            da, db = bound_a.get(a.name), bound_b.get(b.name)
+            da, db = da[-1] if da else None, db[-1] if db else None
+            if da != db or da is None and a.name != b.name:
+                return False
+        elif kind is Universe:
+            if a.level != b.level:
                 return False
         else:
-            env_a, env_b, d = (ea, eb, depth) if role is OUTSIDE else (inner_a, inner_b, depth + 1)
-            if type(u) is not tuple:
-                u, v = ((None, u),), ((None, v),)  # one subterm, as a pair without a name
-            elif len(u) != len(v):
-                return False
-            for (x, s), (y, w) in zip(u, v):
-                if x != y or not _aeq(s, w, env_a, env_b, d):
-                    return False
+            roles, values, _ = _SHAPES[kind]
+            outside, inside, binders = [], [], None
+            for role, u, v in zip(roles, values(a), values(b)):
+                if role is BINDER:
+                    binders = (u, v)
+                elif role is DATA:
+                    if u != v:
+                        return False
+                else:
+                    pairs = outside if role is OUTSIDE else inside
+                    if type(u) is not tuple:
+                        pairs.append((u, v))
+                    elif len(u) != len(v):
+                        return False
+                    else:
+                        for (x, s), (y, w) in zip(u, v):
+                            if x != y:  # constructor and branch names are data
+                                return False
+                            pairs.append((s, w))
+            if binders is not None:
+                x, y = binders
+                work.append((x, y, None))
+                work.extend((s, w, depth + 1) for s, w in reversed(inside))
+                work.append((x, y, depth))
+            work.extend((s, w, depth) for s, w in reversed(outside))
     return True
 
 

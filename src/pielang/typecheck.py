@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .context import Context
 from .diagnostics import CheckError, Diagnostic, fail
-from .normalize import check_equal, normalise
+from .normalize import mismatch, normalise
 from .parser import AxiomDecl, DefDecl, InductiveDeclSrc, desugar_def
 from .syntax import (
     App,
@@ -30,7 +30,7 @@ from .syntax import (
 
 def type_check(ctxt: Context, e: Term) -> Term:
     """Return *a* type of e, not necessarily normal, or raise CheckError
-    with the violated rule. Compare types with `check_equal`; normalise one
+    with the violated rule. Compare types with `ensure_equal`; normalise one
     only to show it or to walk its structure."""
     match e:
         case Var(name=x, span=span):
@@ -96,10 +96,12 @@ def ensure_universe(ctxt: Context, t: Term, rule: str, message: str, span=None) 
 
 def ensure_equal(ctxt: Context, actual: Term, expected: Term, rule: str, message: str,
                  span=None) -> None:
-    """Check that actual converts to expected, or fail with both normalised."""
-    if not check_equal(actual, expected, ctxt):
-        fail(rule, message, span, expected=normalise(expected, ctxt),
-             actual=normalise(actual, ctxt))
+    """Check that actual converts to expected, or fail with both normalised:
+    their normal forms are read back from the values the failed conversion
+    built, not evaluated again."""
+    forms = mismatch(actual, expected, ctxt)
+    if forms is not None:
+        fail(rule, message, span, expected=forms[1], actual=forms[0])
 
 
 def enter(ctxt: Context, x: Name, t: Term, *scope: Term) -> tuple:

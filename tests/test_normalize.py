@@ -4,7 +4,10 @@ from __future__ import annotations
 import sys
 import threading
 import time
+from bisect import bisect_left
+from itertools import count
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
@@ -19,6 +22,7 @@ from pielang import (
     Fix,
     Ind,
     Lam,
+    Match,
     Name,
     Pi,
     Universe,
@@ -31,9 +35,9 @@ from pielang import (
     subst,
 )
 from pielang.cli import check_source
-from pielang.normalize import _DEPTH_LIMIT, _Evaluator
+from pielang.normalize import _DEPTH_LIMIT, _Evaluator, mismatch
 from pielang.syntax import apply_spine
-from strategies import add_terms, names, terms
+from strategies import add_terms, lambda_terms, names, terms
 
 EMPTY = Context()
 SET, V, X1 = Universe(0), Name("v"), Name("x", 1)
@@ -111,8 +115,8 @@ class TestRecursion:
 
     def test_depth_limit_reports_the_depth_limit(self):
         ctxt = elaborated("nat.pie").context
-        deep = numeral(ctxt, 2 * _DEPTH_LIMIT)
-        for run in (lambda: normalise(deep, ctxt), lambda: check_equal(deep, deep, ctxt)):
+        deep, deeper = numeral(ctxt, 2 * _DEPTH_LIMIT), numeral(ctxt, 2 * _DEPTH_LIMIT + 1)
+        for run in (lambda: normalise(deep, ctxt), lambda: check_equal(deep, deeper, ctxt)):
             with pytest.raises(BudgetExceeded) as err:
                 run()
             assert str(err.value) == (
@@ -120,6 +124,14 @@ class TestRecursion:
             )
             assert isinstance(err.value, CheckError) and err.value.budget == _DEPTH_LIMIT
             assert err.value.diagnostic == Diagnostic("Budget", str(err.value))
+
+    def test_alpha_equal_terms_convert_at_any_depth_without_evaluation(self):
+        # the syntactic check answers first: no evaluator, no frame per level
+        # and no step, so neither the depth limit nor the budget is reached
+        ctxt = elaborated("nat.pie").context
+        deep = numeral(ctxt, 2 * _DEPTH_LIMIT)
+        assert check_equal(deep, deep, ctxt, budget=0)
+        assert check_equal(deep, numeral(ctxt, 2 * _DEPTH_LIMIT), ctxt, budget=0)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the depth limit is the process's recursion limit (ROADMAP item 3)")
@@ -331,6 +343,22 @@ class TestSteps:
         assert least_budget(lambda budget: normalise(term, ctxt, budget)) == steps
         assert least_budget(lambda budget: check_equal(term, normal, ctxt, budget)) == steps
 
+    def test_only_names_of_inert_terms_unfold_before_conversion(self):
+        # a name bound to an inductive, a constructor or a universe is replaced
+        # by it before the syntactic check, which draws no step; a def is not
+        ctxt = elaborated("add.pie").context.declare(Name("U"), Universe(1), SET)
+        nat = ctxt.lookup_val(Name("Nat"))
+        for name, value in (("Nat", nat), ("Succ", Constr(2, nat)), ("U", SET)):
+            assert check_equal(Var(Name(name)), value, ctxt, budget=0)
+            assert check_equal(value, Var(Name(name)), ctxt, budget=0)
+        # only a whole side is replaced; inside a term, evaluation unfolds the name
+        with pytest.raises(BudgetExceeded):
+            check_equal(parse_term("(Succ Zero)"), App(Constr(2, nat), Constr(1, nat)), ctxt, 0)
+        with pytest.raises(BudgetExceeded):
+            check_equal(parse_term("two"), ctxt.lookup_val(Name("two")), ctxt, budget=0)
+        # add is bound to a fixpoint, which evaluation keeps as a name
+        assert not check_equal(parse_term("add"), ctxt.lookup_val(Name("add")), ctxt, budget=0)
+
     def test_a_runaway_fixpoint_runs_out_of_steps_not_frames(self):
         # criterion 7's fixpoint: f x = f (Succ x) unfolds and reduces in the
         # loop, so it takes no Python frame per unfolding
@@ -365,6 +393,17 @@ class TestCheckEqual:
         first = parse_term("λx:Set.λy:Set.x")
         assert not check_equal(first, parse_term("λx:Set.λy:Set.y"), EMPTY)
         assert check_equal(first, parse_term("λy:Set.λx:Set.y"), EMPTY)
+
+    def test_one_inert_term_in_two_environments(self):
+        # the same inductive term, closed over x := A on one side and x := B
+        # on the other, is two different inductives
+        ind = Ind(Name("N"), SET, ((Name("C"), Var(Name("x"))),))
+        family = Lam(Name("x"), SET, ind)
+        a, b = App(family, parse_term("A")), App(family, parse_term("B"))
+        assert not check_equal(a, b, EMPTY)
+        assert check_equal(a, App(family, parse_term("A")), EMPTY)
+        # in no environment, the same term is equal to itself unread
+        assert check_equal(App(Lam(V, SET, Var(V)), ind), ind, EMPTY)
 
     def test_a_duplicated_lambda_is_evaluated_once(self):
         """The argument λx.((λz.z) x) is bound to g, which occurs twice:
@@ -428,6 +467,96 @@ class TestConversion:
     def test_add_pie_against_the_normal_form(self, t):
         ctxt = elaborated("add.pie").context
         _conversion_agrees(*_with_normal_form(t, ctxt), ctxt)
+
+
+def least_budget_within(run, cap: int = 300) -> int:
+    """least_budget(run), found by bisection; a draw that needs more than cap
+    steps is discarded."""
+    def enough(budget: int) -> bool:
+        try:
+            run(budget)
+            return True
+        except BudgetExceeded:
+            return False
+    assume(enough(cap))
+    return bisect_left(range(cap), True, key=enough)
+
+
+def renamed_apart(t, tags=None):
+    """A copy of t in which every binder has a name of its own, which no
+    other binder and no free variable has."""
+    tags = count(1) if tags is None else tags
+
+    def fresh(x, *scope):
+        new = Name("r", next(tags))
+        return new, [renamed_apart(subst(x, Var(new), s), tags) for s in scope]
+
+    match t:
+        case Lam(binder=x, domain=d, body=b) | Pi(binder=x, domain=d, body=b):
+            x, (b,) = fresh(x, b)
+            return type(t)(x, renamed_apart(d, tags), b)
+        case App(fn=f, arg=a):
+            return App(renamed_apart(f, tags), renamed_apart(a, tags))
+        case Fix(name=n, dec_index=k, signature=sig, body=b):
+            n, (b,) = fresh(n, b)
+            return Fix(n, k, renamed_apart(sig, tags), b)
+        case Ind(name=n, arity=a, constructors=cs):
+            n, types = fresh(n, *(ct for _, ct in cs))
+            return Ind(n, renamed_apart(a, tags), tuple(zip((c for c, _ in cs), types)))
+        case Constr(index=i, inductive=ind):
+            return Constr(i, renamed_apart(ind, tags))
+        case Match(carrier=c, scrutinee=sc, branches=bs):
+            branches = tuple((bn, renamed_apart(bb, tags)) for bn, bb in bs)
+            return Match(renamed_apart(c, tags), renamed_apart(sc, tags), branches)
+    return t
+
+
+# the strategies of TestConversion, each in its context
+CONVERSION_CASES = pytest.mark.parametrize("strategy, file", [
+    (terms, None), (lambda_terms, None), (add_terms, "add.pie"),
+], ids=["terms", "lambda_terms", "add_terms"])
+
+
+class TestConversionSteps:
+    """A conversion draws on each side's budget no more than normalising that
+    side does, and a failed one reads back both sides' normal forms from the
+    values it built, within the same budget."""
+
+    @CONVERSION_CASES
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_a_failed_conversion_gives_both_normal_forms(self, strategy, file, data):
+        ctxt = elaborated(file).context if file else EMPTY
+        a, b = data.draw(strategy), data.draw(strategy)
+        budget = max(least_budget_within(lambda n: normalise(a, ctxt, n)),
+                     least_budget_within(lambda n: normalise(b, ctxt, n)))
+        forms = mismatch(a, b, ctxt, budget)
+        normal_a, normal_b = normalise(a, ctxt), normalise(b, ctxt)
+        assert (forms is None) == alpha_eq(normal_a, normal_b)
+        if forms is not None:
+            assert pretty(forms[0]) == pretty(normal_a)
+            assert pretty(forms[1]) == pretty(normal_b)
+
+    @CONVERSION_CASES
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_check_equal_needs_no_more_than_normalising_either_side(self, strategy, file, data):
+        ctxt = elaborated(file).context if file else EMPTY
+        a, b = data.draw(strategy), data.draw(strategy)
+        budget = max(least_budget_within(lambda n: normalise(a, ctxt, n)),
+                     least_budget_within(lambda n: normalise(b, ctxt, n)))
+        expected = alpha_eq(normalise(a, ctxt), normalise(b, ctxt))
+        assert check_equal(a, b, ctxt, budget) == expected
+
+    @CONVERSION_CASES
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_a_copy_renamed_apart_converts_without_a_step(self, strategy, file, data):
+        ctxt = elaborated(file).context if file else EMPTY
+        t = data.draw(strategy)
+        copy = renamed_apart(t)
+        assert check_equal(t, copy, ctxt, budget=0)
+        assert check_equal(copy, t, ctxt, budget=0)
 
 
 class TestBeta:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import sys
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -164,6 +165,83 @@ class TestAlphaEq:
 
     def test_pi_and_lam_differ(self):
         assert not alpha_eq(parse_term("λx:Set.x"), parse_term("Πx:Set.x"))
+
+    def test_shadowing_binds_the_innermost(self):
+        inner = parse_term("λx:Set.λx:Set.x")
+        assert alpha_eq(inner, parse_term("λy:Set.λz:Set.z"))
+        assert not alpha_eq(inner, parse_term("λy:Set.λz:Set.y"))
+        assert alpha_eq(parse_term("λx:Set.λy:Set.λx:Set.y"), parse_term("λy:Set.λx:Set.λz:Set.x"))
+
+    def test_a_shared_subterm_is_compared_under_its_binders(self):
+        # one object on both sides, but bound on one side and free on the other
+        shared = Var(x)
+        assert not alpha_eq(Lam(x, Universe(0), shared), Lam(y, Universe(0), shared))
+        assert alpha_eq(Lam(x, Universe(0), shared), Lam(x, Universe(0), shared))
+        assert alpha_eq(App(shared, shared), App(shared, Var(x)))
+
+    @pytest.mark.parametrize("node", [Lam, Pi])
+    def test_chains_20000_deep_at_the_default_recursion_limit(self, node):
+        assert sys.getrecursionlimit() == 1000
+        k = 20000
+
+        def chain(binder, last: int, n: int = k):
+            t = Var(binder(last))
+            for i in reversed(range(n)):
+                domain = App(Var(Name("A")), Var(binder(i - 1))) if i else Var(Name("A"))
+                t = node(binder(i), domain, t)
+            return t
+
+        def seconds(a, b) -> float:
+            best = float("inf")
+            for _ in range(3):  # the fastest of three, so that a pause does not count
+                start = time.perf_counter()
+                assert alpha_eq(a, b)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        original = chain(lambda i: Name(f"x{i}"), 0)
+        renamed = chain(lambda i: Name("y", i + 2), 0)
+        assert not alpha_eq(original, chain(lambda i: Name("y", i + 2), 1))
+        # every binder shadowing one name: the last variable is the innermost
+        shadowing = chain(lambda i: x, 0)
+        assert alpha_eq(shadowing, chain(lambda i: Name("y", i + 2), k - 1))
+        assert not alpha_eq(shadowing, renamed)
+        # linear: four times the depth takes about four times as long, where
+        # copying a renaming map per binder takes about sixteen times
+        quarter = (chain(lambda i: Name(f"x{i}"), 0, k // 4), chain(lambda i: Name("y", i + 2), 0, k // 4))
+        assert seconds(original, renamed) < 8 * seconds(*quarter)
+
+    def test_inductive_fields(self):
+        ind = Ind(x, Universe(0), ((Name("C1"), Var(x)), (Name("C2"), Pi(y, Var(x), Var(x)))))
+        renamed = Ind(z, Universe(0), ((Name("C1"), Var(z)), (Name("C2"), Pi(x, Var(z), Var(z)))))
+        assert alpha_eq(ind, renamed)
+        assert not alpha_eq(ind, Ind(z, Universe(0), ((Name("C1"), Var(z)),
+                                                     (Name("C3"), Pi(x, Var(z), Var(z))))))
+        assert not alpha_eq(ind, Ind(z, Universe(0), ((Name("C1"), Var(z)),)))
+        assert not alpha_eq(ind, Ind(z, Universe(1), renamed.constructors))
+        # the inductive's own name is not in scope in its arity
+        assert not alpha_eq(Ind(x, Var(x), ()), Ind(y, Var(y), ()))
+        assert alpha_eq(Constr(2, ind), Constr(2, renamed))
+        assert not alpha_eq(Constr(1, ind), Constr(2, renamed))
+
+    def test_fixpoint_fields(self):
+        fix = Fix(x, 0, Pi(y, Var(x), Var(y)), Lam(y, Var(z), App(Var(x), Var(y))))
+        renamed = Fix(z, 0, Pi(y, Var(x), Var(y)), Lam(x, Var(z), App(Var(z), Var(x))))
+        assert not alpha_eq(fix, renamed)  # the free z in the body is now bound
+        renamed = Fix(Name("f"), 0, Pi(z, Var(x), Var(z)), Lam(y, Var(z), App(Var(Name("f")), Var(y))))
+        assert alpha_eq(fix, renamed)
+        assert not alpha_eq(fix, Fix(Name("f"), 1, renamed.signature, renamed.body))
+        # the fixpoint's own name is not in scope in its signature
+        assert not alpha_eq(Fix(x, 0, Var(x), Var(x)), Fix(y, 0, Var(y), Var(y)))
+
+    def test_match_fields(self):
+        def match(first, second, body):
+            return Match(Var(Name("P")), Var(Name("n")), ((first, Var(x)), (second, body)))
+        m = match(Name("C1"), Name("C2"), Lam(x, Universe(0), Var(x)))
+        assert alpha_eq(m, match(Name("C1"), Name("C2"), Lam(y, Universe(0), Var(y))))
+        assert not alpha_eq(m, match(Name("C1"), Name("C3"), Lam(y, Universe(0), Var(y))))
+        assert not alpha_eq(m, match(Name("C2"), Name("C1"), Lam(y, Universe(0), Var(y))))
+        assert not alpha_eq(m, Match(Var(Name("P")), Var(Name("n")), m.branches[:1]))
 
     @given(terms)
     @settings(max_examples=200)
