@@ -19,10 +19,11 @@ Grammar (fixed from the surface forms the corpus uses):
 other run of non-delimiter characters (so `⊃` is a name), and lines starting
 with `--` are skipped. An arrow is a Π whose binder no source name spells:
 each parse numbers its arrows x'1, x'2, ... in the order they close.
-Tokens (named tuples of kind, value, line and columns) are made only as the
-parser reads them, and an expression is read in one loop over an explicit
-stack, so no nesting depth overflows Python's stack. The parser imports no
-typing module: `typecheck.elaborate` makes a recursive def a fixpoint.
+The scanner runs `findall` over bounded windows of each line, and makes each
+token, a plain tuple of `Token`'s fields, only as the parser reads it. An
+expression is read in one loop over an explicit stack, so no nesting depth
+overflows Python's stack. The parser imports no typing module:
+`typecheck.elaborate` makes a recursive def a fixpoint.
 """
 from __future__ import annotations
 
@@ -31,17 +32,17 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .diagnostics import fail
-from .syntax import App, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var
+from .syntax import App, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var, _sealed
 
 
-@dataclass(frozen=True)
+@_sealed
 class AxiomDecl:
     name: Name
     type: Term
     span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
+@_sealed
 class DefDecl:
     name: Name
     params: tuple[tuple[Name, Term], ...]
@@ -50,7 +51,7 @@ class DefDecl:
     span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
+@_sealed
 class InductiveDeclSrc:
     name: Name
     arity: Term
@@ -82,14 +83,18 @@ class Token(NamedTuple):
     end: int  # column of the last character
 
     @property
-    def span(self) -> SourceSpan:  # tuple.__new__ skips SourceSpan's Python __new__
-        return tuple.__new__(SourceSpan, (self.line, self.col, self.line, self.end))
+    def span(self) -> SourceSpan:  # by index, so that it reads the parser's plain tuples too
+        return tuple.__new__(SourceSpan, (self[2], self[3], self[2], self[4]))  # skips its __new__
 
 
-# Every character but whitespace starts a token, so the positions a search
-# skips are exactly the whitespace (`\s` is `str.isspace`). Two-character
+# Every character but whitespace starts a token, so the positions a token
+# skips are exactly the whitespace before it (`\s` is `str.isspace`). Two-character
 # punctuation comes first; a word holds no punctuation character.
-_TOKEN = re.compile(r"->|=>|:=|[(){}<>;,.:|λΠ→=-]|[^\s(){}<>;,.:|=λΠ→-]+")
+_TOKEN = re.compile(r"(\s*)(->|=>|:=|[(){}<>;,.:|λΠ→=-]|[^\s(){}<>;,.:|=λΠ→-]+)")
+# A scan window ends just after whitespace or an ASCII one-character token,
+# which no longer token holds, at least _WIDTH characters after it starts.
+_CUT = re.compile(r"[\s(){}<>;,.|]")
+_WIDTH = 512
 
 # The kind, and value, of every fixed text: punctuation, arrows and keywords.
 _KINDS = {t: t for t in ("->", "=>", ":=", *"(){}<>;,.:|λΠ", "Axiom", "def", "Inductive", "match",
@@ -100,10 +105,10 @@ _STRAY = re.compile(r"[-=](?!>)")
 _STRAY_MESSAGES = {"-": "stray '-' (expected '->')", "=": "stray '=' (expected '=>' or ':=')"}
 
 
-def _tokens(source: str) -> Iterator[Token]:
-    """The tokens of source, made as they are read. The first such stray '-' or
-    '=' outside comment lines is reported first, to win over earlier errors."""
-    at = 0  # search loops, not finditer: a scanner per short line costs more
+def _tokens(source: str) -> Iterator[tuple]:
+    """The tokens of source as plain tuples, made as they are read. The first such
+    stray '-' or '=' outside comment lines is reported first, to win over earlier errors."""
+    at = 0
     while (m := _STRAY.search(source, at)) is not None:
         at = m.end()
         line_start = source.rfind("\n", 0, at) + 1
@@ -111,102 +116,99 @@ def _tokens(source: str) -> Iterator[Token]:
         if stray and not source[line_start:at + 1].lstrip().startswith("--"):  # a comment line
             line, col = source.count("\n", 0, at) + 1, at - line_start
             fail("Parse", _STRAY_MESSAGES[m[0]], SourceSpan(line, col, line, col))
-    search, kinds, new = _TOKEN.search, _KINDS, tuple.__new__
+    findall, cut, kinds = _TOKEN.findall, _CUT.search, _KINDS
     lines = source.split("\n")
     for lineno, line in enumerate(lines, start=1):
         if line.lstrip().startswith("--"):
             continue
-        end = 0
-        while (m := search(line, end)) is not None:
-            text = m[0]
-            start, end = m.span()
-            if (kind := kinds.get(text)) is not None:
-                text = kind  # '→' reads as '->'
-            else:  # isdecimal, not isdigit: int() rejects '²', which is a name
-                kind = "number" if text.isdecimal() else "name"
-            yield new(Token, (kind, text, lineno, start + 1, end))  # skips Token's Python __new__
+        start = col = 0
+        while start < len(line):
+            end = m.end() if (m := cut(line, start + _WIDTH)) else len(line)
+            for gap, text in findall(line, start, end):
+                first, col = col + len(gap) + 1, col + len(gap) + len(text)
+                if (kind := kinds.get(text)) is not None:
+                    text = kind  # '→' reads as '->'
+                else:  # isdecimal, not isdigit: int() rejects '²', which is a name
+                    kind = "number" if text.isdecimal() else "name"
+                yield kind, text, lineno, first, col
+            start = col = end
     end = len(lines[-1]) + 1
-    yield Token("eof", "", len(lines), end, end)
+    yield "eof", "", len(lines), end, end
 
 
 def tokenize(source: str) -> list[Token]:
-    return list(_tokens(source))
+    return list(map(Token._make, _tokens(source)))
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+_span = Token.span.fget  # the span of a plain token tuple
+# after a declaration's keyword and name: fixed tokens, expressions (None) and pairs
+_FORMS = {"Axiom": (AxiomDecl, (":", None)),
+          "def": (DefDecl, ("(", "parameter", ")", ":", None, "{", None, "}")),
+          "Inductive": (InductiveDeclSrc, (":", None, ":=", "constructor"))}
 _BINDERS = {"λ": Lam, "lam": Lam, "Π": Pi, "Pi": Pi}
-# the tokens after a binder's domain and after a match's carrier
-_THEN = {":": (".",), "<": (">", "match")}
+# the tokens after a binder's domain, and after a match's carrier and scrutinee
+_THEN = {":": (".",), "<": (">", "match"), "match": ("with", "{")}
 
 
 class _Parser:
-    def __init__(self, tokens: Iterator[Token]):
+    def __init__(self, tokens: Iterator[tuple]):
         self.rest = tokens
-        self.tok = next(self.rest)  # the next token, an attribute on the hot paths
+        self.tok = next(self.rest)  # the next token, laid out as Token: tok[0] is its kind
         self.arrows = 0  # the tag of the last arrow binder
 
-    def expect(self, kind: str) -> Token:
+    def expect(self, kind: str) -> tuple:
         tok = self.tok
-        if tok.kind != kind:
-            fail("Parse", f"expected '{kind}', found '{tok.value or tok.kind}'", tok.span)
+        if tok[0] != kind:
+            fail("Parse", f"expected '{kind}', found '{tok[1] or tok[0]}'", _span(tok))
         self.tok = next(self.rest, tok)  # eof, the last token, repeats
         return tok
 
     def name(self, seen=(), what: str = "") -> tuple[Name, SourceSpan]:
         """A name, which must not be one of seen, the names of earlier `what`s."""
-        tok = self.expect("name")
-        if (name := Name(tok.value)) in seen:
-            fail("Parse", f"duplicate {what} {name}", tok.span)
-        return name, tok.span
+        tok = self.tok if self.tok[0] == "name" else self.expect("name")  # which fails
+        self.tok = next(self.rest, tok)
+        if (name := tuple.__new__(Name, (tok[1], 0))) in seen:  # skips Name's Python __new__
+            fail("Parse", f"duplicate {what} {name}", _span(tok))
+        return name, _span(tok)
 
     def program(self, source_name: str) -> Program:
         decls: list[Decl] = []
-        while self.tok.kind != "eof":
+        while self.tok[0] != "eof":
             decls.append(self.decl())
-            if self.tok.kind == ";":
-                self.expect(";")
-            elif self.tok.kind != "eof":
-                fail("Parse", "expected ';' between declarations", self.tok.span)
+            if self.tok[0] not in (";", "eof"):
+                fail("Parse", "expected ';' between declarations", _span(self.tok))
+            self.tok = next(self.rest, self.tok)
         return Program(decls, source_name)
 
     def decl(self) -> Decl:
-        tok = self.tok
-        if tok.kind not in ("Axiom", "def", "Inductive"):
-            fail("Parse", f"expected a declaration, found '{tok.value or tok.kind}'", tok.span)
-        self.expect(tok.kind)
+        """A declaration, read by its form in _FORMS, each fixed token in place."""
+        if (tok := self.tok)[0] not in _FORMS:
+            fail("Parse", f"expected a declaration, found '{tok[1] or tok[0]}'", _span(tok))
+        self.tok = next(self.rest, tok)
+        record, form = _FORMS[tok[0]]
         name, span = self.name()
-        if tok.kind == "Axiom":
-            self.expect(":")
-            return AxiomDecl(name, self.expr(), span)
-        if tok.kind == "def":
-            self.expect("(")
-            params: dict[Name, Term] = {}
-            while self.tok.kind != ")":
-                if params:
-                    self.expect(",")
-                pname, _ = self.name(params, "parameter")
-                self.expect(":")
-                params[pname] = self.expr()
-            self.expect(")")
-            self.expect(":")
-            result_type = self.expr()
-            self.expect("{")
-            body = self.expr()
-            self.expect("}")
-            return DefDecl(name, tuple(params.items()), result_type, body, span)
-        self.expect(":")  # an Inductive
-        arity = self.expr()
-        self.expect(":=")
-        ctors: dict[Name, Term] = {}
-        while self.tok.kind == "|":
-            self.expect("|")
-            cname, _ = self.name(ctors, "constructor")
-            self.expect(":")
-            ctors[cname] = self.expr()
-        return InductiveDeclSrc(name, arity, tuple(ctors.items()), span)
+        parts = []
+        for part in form:
+            if (tok := self.tok)[0] == part:
+                self.tok = next(self.rest, tok)
+            elif part is None:
+                parts.append(self.expr())
+            elif part in ("parameter", "constructor"):  # ',' between, up to ')'; '|' before each
+                pairs: dict[Name, Term] = {}
+                while self.tok[0] == "|" if part == "constructor" else self.tok[0] != ")":
+                    if pairs or part == "constructor":
+                        self.expect("|" if part == "constructor" else ",")
+                    pname, _ = self.name(pairs, part)
+                    self.expect(":")
+                    pairs[pname] = self.expr()
+                parts.append(tuple(pairs.items()))
+            else:
+                self.expect(part)  # which fails
+        return record(name, *parts, span)
 
     def expr(self) -> Term:
         """One expression, read in one loop over a stack of the constructs open
@@ -221,28 +223,28 @@ class _Parser:
             if term is None:
                 tok = self.tok
                 self.tok = next(rest, tok)
-                kind = tok.kind
+                kind = tok[0]
                 if kind == "name":
-                    term = Var(new(Name, (tok.value, 0)), tok.span)
+                    term = Var(new(Name, (tok[1], 0)), _span(tok))
                 elif kind in ("(", "<"):
                     stack.append((kind, tok))
                 elif kind in _BINDERS:
-                    stack.append((":", tok, new(Name, (self.expect("name").value, 0))))
+                    stack.append((":", tok, new(Name, (self.expect("name")[1], 0))))
                     self.expect(":")
                 elif kind in ("Set", "Prop"):
-                    term = Universe(0, tok.span)
+                    term = Universe(0, _span(tok))
                 elif kind == "Type":
                     level = 1
-                    if self.tok.kind == "number":
+                    if self.tok[0] == "number":
                         number = self.expect("number")
                         # by default str() writes at most 4300 digits, and typing prints level + 1
-                        if len(number.value) >= 4300:
-                            fail("Parse", "universe level has too many digits", number.span)
-                        level = int(number.value)
-                    term = Universe(level, tok.span)
+                        if len(number[1]) >= 4300:
+                            fail("Parse", "universe level has too many digits", _span(number))
+                        level = int(number[1])
+                    term = Universe(level, _span(tok))
                 else:
-                    fail("Parse", f"expected an expression, found '{tok.value or kind}'", tok.span)
-            elif self.tok.kind == "->":  # only an atom can end just before '->'
+                    fail("Parse", f"expected an expression, found '{tok[1] or kind}'", _span(tok))
+            elif self.tok[0] == "->":  # only an atom can end just before '->'
                 stack.append(("->", self.expect("->"), term))
                 term = None
             elif not stack:
@@ -252,37 +254,35 @@ class _Parser:
                 kind, tok = frame[0], frame[1]
                 if kind == "(":
                     if len(frame) == 3:  # the parts before this one, applied
-                        term = App(frame[2], term, tok.span)
-                    if self.tok.kind == ")":
+                        term = App(frame[2], term, _span(tok))
+                    if self.tok[0] == ")":
                         self.expect(")")
                     else:
                         stack.append((kind, tok, term))
                         term = None
                 elif kind == "->":  # arrows are numbered in the order they close
                     self.arrows += 1
-                    term = Pi(new(Name, ("x", self.arrows)), frame[2], term, tok.span)
+                    term = Pi(new(Name, ("x", self.arrows)), frame[2], term, _span(tok))
                 elif kind == ".":
-                    term = _BINDERS[tok.kind](frame[2], frame[3], term, tok.span)
-                elif kind in _THEN:  # after a binder's domain or a match's carrier
+                    term = _BINDERS[tok[0]](frame[2], frame[3], term, _span(tok))
+                elif kind in _THEN:  # after a binder's domain, or a match's carrier or scrutinee
                     for expected in _THEN[kind]:
                         self.expect(expected)
-                    stack.append((_THEN[kind][-1], *frame[1:], term))
-                    term = None
-                else:  # after a match's scrutinee or one of its branches
                     if kind == "match":
-                        self.expect("with")
-                        self.expect("{")
-                        frame = ("=>", tok, frame[2], term, {}, None)
+                        term = self.branch(stack, tok, frame[2], term, {})
                     else:
-                        frame[4][frame[5]] = term
+                        stack.append((_THEN[kind][-1], *frame[1:], term))
+                        term = None
+                else:  # after one of a match's branches
+                    frame[4][frame[5]] = term
                     term = self.branch(stack, *frame[1:5])
 
-    def branch(self, stack: list[tuple], start: Token, carrier: Term, scrutinee: Term,
+    def branch(self, stack: list[tuple], start: tuple, carrier: Term, scrutinee: Term,
                branches: dict[Name, Term]) -> Term | None:
         """The match, if '}' closes it; else None, once the next branch is open."""
-        if self.tok.kind != "}" and branches:
+        if self.tok[0] != "}" and branches:
             self.expect(";")
-        if self.tok.kind == "}":
+        if self.tok[0] == "}":
             self.expect("}")
             leading = []  # a carrier's leading Π binders mean λ binders, the same family
             while isinstance(carrier, Pi):
@@ -290,11 +290,11 @@ class _Parser:
                 carrier = carrier.body
             for pi in reversed(leading):
                 carrier = Lam(pi.binder, pi.domain, carrier, pi.span)
-            return Match(carrier, scrutinee, tuple(branches.items()), start.span)
-        if self.tok.kind == "(":
+            return Match(carrier, scrutinee, tuple(branches.items()), _span(start))
+        if self.tok[0] == "(":
             self.expect("(")
             cname, cspan = self.name()
-            while self.tok.kind == "name":  # argument names are ignored
+            while self.tok[0] == "name":  # argument names are ignored
                 self.expect("name")
             self.expect(")")
         else:

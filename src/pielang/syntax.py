@@ -1,10 +1,10 @@
 """Kernel term language: variables, universes, binders, applications,
 inductive definitions, constructors, case matches and fixpoints.
 
-Terms are immutable. Binding is name-based; substitution avoids capture by
-renaming a binder to its text with a tag free in the terms in play.
-Each node computes its free names once and keeps them, so substitution
-skips every subterm that does not mention the substituted name.
+Terms are immutable, slotted dataclasses. Binding is name-based; substitution
+avoids capture by renaming a binder to its text with a tag free in the terms
+in play. Each node computes its free names once and keeps them in a slot, so
+substitution skips every subterm that does not mention the substituted name.
 """
 from __future__ import annotations
 
@@ -50,28 +50,47 @@ def fresh_name(base: Name, *avoid) -> Name:
 
 
 class Term:
-    """Base class for all expression variants."""
+    """Base class for all expression variants; its slot holds free_vars' memo."""
 
-    __slots__ = ()
+    __slots__ = ("_free_vars",)
+
+    def __reduce__(self):  # a copy is rebuilt by __init__, with an empty memo
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _sealed(cls):
+    """cls as a frozen dataclass with slots whose __init__ writes each slot by its
+    descriptor, not by object.__setattr__; a slot that is no field starts as None."""
+    sealed = dataclass(frozen=True, slots=True)(cls)
+    if cls.__base__ is Term:  # a base of Term's layout, so Term.__subclasses__() lists sealed
+        cls.__bases__ = (type("Replaced", (), {"__slots__": Term.__slots__}),)
+    params = [f.name for f in fields(sealed)]
+    slots = [*params, *getattr(sealed.__base__, "__slots__", ())]
+    setters = {f"set_{s}": getattr(sealed, s).__set__ for s in slots}
+    writes = "".join(f"\n set_{s}(self, {s if s in params else None})" for s in slots)
+    exec(f"def __init__(self, {', '.join(params)}):{writes}", setters)
+    setters["__init__"].__defaults__ = sealed.__init__.__defaults__
+    sealed.__init__ = setters["__init__"]
+    return sealed
 
 
 def _span_field():
     return field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_sealed
 class Var(Term):
     name: Name
     span: SourceSpan | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_sealed
 class Universe(Term):
     level: int
     span: SourceSpan | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_sealed
 class Lam(Term):
     binder: Name
     domain: Term
@@ -79,7 +98,7 @@ class Lam(Term):
     span: SourceSpan | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_sealed
 class Pi(Term):
     binder: Name
     domain: Term
@@ -87,14 +106,14 @@ class Pi(Term):
     span: SourceSpan | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_sealed
 class App(Term):
     fn: Term
     arg: Term
     span: SourceSpan | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_sealed
 class Ind(Term):
     """An inductive definition. The name is in scope inside the constructor
     types (self-reference) but not inside the arity."""
@@ -105,7 +124,7 @@ class Ind(Term):
     span: SourceSpan | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_sealed
 class Constr(Term):
     """The index-th constructor (1-based) of an inductive definition."""
 
@@ -114,7 +133,7 @@ class Constr(Term):
     span: SourceSpan | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_sealed
 class Match(Term):
     carrier: Term
     scrutinee: Term
@@ -122,7 +141,7 @@ class Match(Term):
     span: SourceSpan | None = _span_field()
 
 
-@dataclass(frozen=True)
+@_sealed
 class Fix(Term):
     """A recursive function; dec_index is the 0-based position of the
     structurally decreasing argument."""
@@ -214,11 +233,12 @@ def children(t: Term, roles=(OUTSIDE, INSIDE)) -> list[Term]:
 # Free variables
 # ---------------------------------------------------------------------------
 
+_set_free_vars = Term._free_vars.__set__  # a frozen node refuses setattr
+
+
 def free_vars(t: Term) -> frozenset[Name]:
     """The free names of t, computed once per node and kept on it."""
-    memo = t.__dict__
-    fv = memo.get("_free_vars")
-    if fv is not None:
+    if (fv := t._free_vars) is not None:
         return fv
     kind = type(t)
     if kind is Var:
@@ -237,7 +257,7 @@ def free_vars(t: Term) -> frozenset[Name]:
                 for _, sub in value if type(value) is tuple else ((None, value),):
                     names = free_vars(sub)
                     fv |= names.difference(bound) if role is INSIDE else names
-    memo["_free_vars"] = fv
+    _set_free_vars(t, fv)
     return fv
 
 
@@ -397,7 +417,7 @@ def _chain_free_vars(t: Term) -> frozenset[Name]:
     """free_vars(t), computed from the bottom of t's chain of λ/Π bodies and
     last arguments up, so that no call recurses down that chain."""
     chain = [t]
-    while type(t) in (Lam, Pi, App) and "_free_vars" not in t.__dict__:
+    while type(t) in (Lam, Pi, App) and t._free_vars is None:
         t = t.arg if type(t) is App else t.body
         chain.append(t)
     for u in reversed(chain):

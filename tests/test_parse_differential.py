@@ -90,6 +90,8 @@ FRAGMENTS = [
     "match", " with { ", "with", "{", "}", "Z => ", "(S p q) => ", "S =>", ";", "Set", "Prop", "Type",
     "Type 2", "Type ٣", "3", "²", ":=", "=>", "|", "-", "=", ">=", "-->", "\n", "\t", " ", "",
     "\n-- a - b = c\n", "  -- ->\n", "--",
+    # whitespace that is not ' ', '\t' or '\n': str.isspace, and so `\s`, holds all of it
+    "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003", "\u3000", "\n\x85\u3000-- a - b := c\n",
 ]
 STARTS = ["", "Axiom a : ", "Axiom a : A -> ", "def f(x : A) : A { ", "Inductive N : Set := | Z : "]
 SOUP = st.builds(str.__add__, st.sampled_from(STARTS),

@@ -1,6 +1,11 @@
 """Surface syntax: tokens, declarations, sugar, and error reporting."""
 from __future__ import annotations
 
+import copy
+import pickle
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import corpus_source, elaborated
 from pielang.cli import check_source, load_corpus
 from pielang.parser import tokenize
+from pielang.syntax import SourceSpan
 from pielang import (
     AxiomDecl,
     CheckError,
@@ -123,6 +129,28 @@ class TestTokens:
         assert_tokens_cover_lines(path.read_text(encoding="utf-8"))
 
 
+class TestStreaming:
+    """The scanner cuts a long line into windows, so that a line's tokens are
+    never all alive next to the tree being built."""
+
+    @staticmethod
+    def peak(source: str) -> int:
+        tracemalloc.start()
+        try:
+            parse_program(source, prelude=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("chain", [
+        " -> ".join(["A"] * 10000),  # 19999 tokens
+        "Π x : A . " * 20000 + "A",  # 20000 binders
+    ], ids=["arrows", "binders"])
+    def test_one_line_peaks_as_one_token_per_line_does(self, chain):
+        tokens = ["Axiom", "A", ":", "Set", ";", "Axiom", "f", ":", *chain.split(), ";"]
+        assert self.peak(" ".join(tokens)) <= 1.1 * self.peak("\n".join(tokens))
+
+
 class TestDeclarations:
     def test_axiom(self):
         program = parse_program("Axiom o : Set;", prelude=False)
@@ -182,6 +210,61 @@ class TestDeclarations:
 
     def test_empty_file(self):
         assert parse_program("", prelude=False).decls == []
+
+
+A = Var(Name("A"))
+# one record of each declaration form, its fields in order, and its repr
+DECLS = [
+    (AxiomDecl(Name("a"), A, SourceSpan(1, 7, 1, 7)), ("name", "type", "span"),
+     "AxiomDecl(name=Name(text='a', fresh_tag=0), type=Var(name=Name(text='A', fresh_tag=0)), "
+     "span=SourceSpan(start_line=1, start_col=7, end_line=1, end_col=7))"),
+    (DefDecl(Name("f"), ((Name("x"), A),), A, Var(Name("x"))),
+     ("name", "params", "result_type", "body", "span"),
+     "DefDecl(name=Name(text='f', fresh_tag=0), params=((Name(text='x', fresh_tag=0), "
+     "Var(name=Name(text='A', fresh_tag=0))),), result_type=Var(name=Name(text='A', fresh_tag=0)), "
+     "body=Var(name=Name(text='x', fresh_tag=0)), span=None)"),
+    (InductiveDeclSrc(Name("N"), Universe(0), ((Name("Z"), Var(Name("N"))),)),
+     ("name", "arity", "constructors", "span"),
+     "InductiveDeclSrc(name=Name(text='N', fresh_tag=0), arity=Universe(level=0), "
+     "constructors=((Name(text='Z', fresh_tag=0), Var(name=Name(text='N', fresh_tag=0))),), span=None)"),
+]
+
+
+@pytest.mark.parametrize("decl, names, text", DECLS, ids=lambda v: type(v).__name__)
+class TestDeclarationRecords:
+    """Declarations are frozen dataclasses whose span, unlike a term's, takes
+    part in equality, hash and repr; their fields and class patterns stay."""
+
+    def test_fields_cannot_be_assigned_or_deleted(self, decl, names, text):
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(decl, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(decl, name)
+
+    def test_equality_and_hash_include_the_span(self, decl, names, text):
+        assert decl == replace(decl) and hash(decl) == hash(replace(decl))
+        assert replace(decl, span=SourceSpan(2, 1, 2, 5)) != decl
+        assert copy.copy(decl) == copy.deepcopy(decl) == pickle.loads(pickle.dumps(decl)) == decl
+
+    def test_repr_and_field_order(self, decl, names, text):
+        assert tuple(f.name for f in fields(decl)) == names
+        assert repr(decl) == text
+
+    def test_keyword_and_positional_patterns(self, decl, names, text):
+        values = [getattr(decl, name) for name in names]
+        match decl:
+            case AxiomDecl(n, t, s) | InductiveDeclSrc(n, t, _, s):
+                assert [n, t, s] == [values[0], values[1], values[-1]]
+            case DefDecl(n, ps, t, b, s):
+                assert [n, ps, t, b, s] == values
+            case _:
+                pytest.fail("no positional pattern matched")
+        match decl:
+            case AxiomDecl(name=n, span=s) | DefDecl(name=n, span=s) | InductiveDeclSrc(name=n, span=s):
+                assert (n, s) == (values[0], values[-1])
+            case _:
+                pytest.fail("no keyword pattern matched")
 
 
 class TestDesugaring:

@@ -1,8 +1,11 @@
 """Term-level operations: free variables, substitution, alpha equivalence."""
 from __future__ import annotations
 
+import copy
+import pickle
 import sys
 import time
+from dataclasses import FrozenInstanceError, fields, replace
 
 import hypothesis.strategies as st
 import pytest
@@ -86,6 +89,94 @@ class TestFreeVars:
 
 def test_binding_table_covers_every_compound_term():
     assert {*BINDING, Var, Universe} == set(Term.__subclasses__())
+
+
+A, B = Var(Name("A")), Var(Name("B"))
+IND = Ind(Name("N"), Universe(0), ((Name("Z"), Var(Name("N"))),))
+# one node of each class, its fields in order, and its repr
+NODES = [
+    (Var(x), ("name", "span"), "Var(name=Name(text='x', fresh_tag=0))"),
+    (Universe(2), ("level", "span"), "Universe(level=2)"),
+    (Lam(x, A, B), ("binder", "domain", "body", "span"),
+     "Lam(binder=Name(text='x', fresh_tag=0), domain=Var(name=Name(text='A', fresh_tag=0)), "
+     "body=Var(name=Name(text='B', fresh_tag=0)))"),
+    (Pi(Name("x", 1), A, B), ("binder", "domain", "body", "span"),
+     "Pi(binder=Name(text='x', fresh_tag=1), domain=Var(name=Name(text='A', fresh_tag=0)), "
+     "body=Var(name=Name(text='B', fresh_tag=0)))"),
+    (App(A, B), ("fn", "arg", "span"),
+     "App(fn=Var(name=Name(text='A', fresh_tag=0)), arg=Var(name=Name(text='B', fresh_tag=0)))"),
+    (IND, ("name", "arity", "constructors", "span"),
+     "Ind(name=Name(text='N', fresh_tag=0), arity=Universe(level=0), "
+     "constructors=((Name(text='Z', fresh_tag=0), Var(name=Name(text='N', fresh_tag=0))),))"),
+    (Constr(1, IND), ("index", "inductive", "span"), f"Constr(index=1, inductive={IND!r})"),
+    (Match(A, B, ((Name("Z"), A),)), ("carrier", "scrutinee", "branches", "span"),
+     "Match(carrier=Var(name=Name(text='A', fresh_tag=0)), scrutinee=Var(name=Name(text='B', "
+     "fresh_tag=0)), branches=((Name(text='Z', fresh_tag=0), Var(name=Name(text='A', fresh_tag=0))),))"),
+    (Fix(Name("f"), 0, A, B), ("name", "dec_index", "signature", "body", "span"),
+     "Fix(name=Name(text='f', fresh_tag=0), dec_index=0, signature=Var(name=Name(text='A', "
+     "fresh_tag=0)), body=Var(name=Name(text='B', fresh_tag=0)))"),
+]
+
+
+def test_the_contract_covers_every_term_class():
+    assert {type(node) for node, _, _ in NODES} == set(Term.__subclasses__())
+
+
+@pytest.mark.parametrize("node, names, text", NODES, ids=lambda v: type(v).__name__)
+class TestNodes:
+    """Every term class is a frozen dataclass: immutable, compared and hashed
+    without its span, with the fields, repr and class patterns it always had."""
+
+    def test_fields_cannot_be_assigned_or_deleted(self, node, names, text):
+        for name in names:
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(node, name)
+
+    def test_equality_and_hash_ignore_the_span(self, node, names, text):
+        spanned = replace(node, span=SourceSpan(3, 4, 3, 9))
+        assert spanned.span == SourceSpan(3, 4, 3, 9) and node.span is None
+        assert spanned == node and hash(spanned) == hash(node)
+        assert replace(node, **{names[0]: Name("y")}) != node
+
+    def test_repr_and_field_order(self, node, names, text):
+        assert tuple(f.name for f in fields(node)) == names
+        assert repr(replace(node, span=SourceSpan(1, 1, 1, 2))) == text
+
+    def test_keyword_and_positional_patterns(self, node, names, text):
+        first, *_ = values = [getattr(node, name) for name in names[:-1]]
+        match node:
+            case Var(n) | Universe(n) | App(n, _) | Constr(n, _) if n == first:
+                pass
+            case Lam(b, d, body) | Pi(b, d, body) if [b, d, body] == values:
+                pass
+            case Ind(n, a, cs) | Match(n, a, cs) if [n, a, cs] == values:
+                pass
+            case Fix(n, k, sig, body) if [n, k, sig, body] == values:
+                pass
+            case _:
+                pytest.fail("no positional pattern matched")
+        match node:
+            case Var(name=n) | Universe(level=n) | App(fn=n) | Ind(name=n) | Fix(name=n) if n == first:
+                pass
+            case Lam(binder=n) | Pi(binder=n) | Constr(index=n) | Match(carrier=n) if n == first:
+                pass
+            case _:
+                pytest.fail("no keyword pattern matched")
+
+    def test_copies_compute_their_free_names(self, node, names, text):
+        expected = free_vars(node)
+        for copied in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert copied == node and free_vars(copied) == expected
+        assert free_vars(type(node)(*[getattr(node, name) for name in names])) == expected
+
+
+@pytest.mark.parametrize("node", [node for node, _, _ in NODES], ids=lambda v: type(v).__name__)
+def test_a_node_keeps_its_free_names_in_a_slot(node):
+    fresh = replace(node)
+    assert not hasattr(fresh, "__dict__") and fresh._free_vars is None
+    assert free_vars(fresh) is fresh._free_vars == free_vars(node)
 
 
 class TestSubst:
