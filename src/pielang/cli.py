@@ -15,14 +15,14 @@ from .context import Context
 from .diagnostics import CheckError, Diagnostic
 from .normalize import normalise
 from .parser import parse_program
-from .syntax import Name, pretty
+from .syntax import Name, Term, pretty
 from .typecheck import elaborate
 
 
 @dataclass
 class CheckReport:
     file: str
-    decls: list[tuple[str, str, str]] = field(default_factory=list)  # name, type, ok|failed
+    decls: list[tuple[Name, Term, str]] = field(default_factory=list)  # name, type, ok|failed
     diagnostics: list[Diagnostic] = field(default_factory=list)
     exit_code: int = 0
     extra_lines: list[str] = field(default_factory=list)
@@ -30,7 +30,7 @@ class CheckReport:
     def lines(self, dump_types: bool = False) -> list[str]:
         out = []
         if dump_types:
-            out.extend(f"{name} : {type_}" for name, type_, status in self.decls
+            out.extend(f"{name} : {pretty(type_)}" for name, type_, status in self.decls
                        if status == "ok")
         out.extend(d.render(self.file) for d in self.diagnostics)
         out.extend(self.extra_lines)
@@ -39,13 +39,11 @@ class CheckReport:
 
 def check_file(path: str, *, prelude: bool = True, budget: int | None = None,
                normalize_name: str | None = None) -> CheckReport:
-    report = CheckReport(file=path)
     try:
         source = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
-        report.diagnostics.append(Diagnostic("Parse", f"cannot read file: {err}"))
-        report.exit_code = 1
-        return report
+        return CheckReport(path, diagnostics=[Diagnostic("Parse", f"cannot read file: {err}")],
+                           exit_code=1)
     return check_source(source, path, prelude=prelude, budget=budget,
                         normalize_name=normalize_name)
 
@@ -53,19 +51,13 @@ def check_file(path: str, *, prelude: bool = True, budget: int | None = None,
 def check_source(source: str, name: str = "<input>", *, prelude: bool = True,
                  budget: int | None = None, normalize_name: str | None = None) -> CheckReport:
     """`budget` replaces the normalization step budget for this call only."""
-    report = CheckReport(file=name)
     try:
         program = parse_program(source, name, prelude=prelude)
     except CheckError as err:
-        report.diagnostics.append(err.diagnostic)
-        report.exit_code = 1
-        return report
+        return CheckReport(name, diagnostics=[err.diagnostic], exit_code=1)
 
     result = elaborate(program, Context(budget=budget))
-    for dname, dtype, status in result.entries:
-        rendered = pretty(dtype) if dtype is not None else "?"
-        report.decls.append((str(dname), rendered, status))
-    report.diagnostics.extend(result.diagnostics)
+    report = CheckReport(name, result.entries, result.diagnostics)
     if any(d.severity == "error" for d in report.diagnostics):
         report.exit_code = 1
 
@@ -85,14 +77,6 @@ def check_source(source: str, name: str = "<input>", *, prelude: bool = True,
                 report.diagnostics.append(err.diagnostic)
                 report.exit_code = 1
     return report
-
-
-def run_check(paths, *, prelude: bool = True, budget: int | None = None,
-              normalize_name: str | None = None) -> list[CheckReport]:
-    return [
-        check_file(p, prelude=prelude, budget=budget, normalize_name=normalize_name)
-        for p in paths
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +153,10 @@ def main(argv=None) -> int:
                        help="normalization step budget (default 100000)")
     args = ap.parse_args(argv)
 
-    reports = run_check(
-        args.files,
-        prelude=not args.no_prelude,
-        budget=args.budget,
-        normalize_name=args.normalize,
-    )
     exit_code = 0
-    for report in reports:
+    for path in args.files:
+        report = check_file(path, prelude=not args.no_prelude, budget=args.budget,
+                            normalize_name=args.normalize)
         for line in report.lines(dump_types=args.dump_types):
             print(line)
         exit_code = max(exit_code, report.exit_code)

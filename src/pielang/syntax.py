@@ -9,8 +9,8 @@ substitution skips every subterm that does not mention the substituted name.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
-from operator import attrgetter, itemgetter
+from dataclasses import FrozenInstanceError, dataclass, field, fields
+from operator import attrgetter
 from typing import NamedTuple
 
 
@@ -58,10 +58,17 @@ class Term:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
+def _refuse(self, name, *value):
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
+
 def _sealed(cls):
     """cls as a frozen dataclass with slots whose __init__ writes each slot by its
-    descriptor, not by object.__setattr__; a slot that is no field starts as None."""
+    descriptor, not by object.__setattr__; a slot that is no field starts as None.
+    Setting or deleting any name raises FrozenInstanceError; dataclass's own
+    methods raise TypeError for a non-field, as their super() names cls, not sealed."""
     sealed = dataclass(frozen=True, slots=True)(cls)
+    sealed.__setattr__ = sealed.__delattr__ = _refuse
     if cls.__base__ is Term:  # a base of Term's layout, so Term.__subclasses__() lists sealed
         cls.__bases__ = (type("Replaced", (), {"__slots__": Term.__slots__}),)
     params = [f.name for f in fields(sealed)]
@@ -189,37 +196,35 @@ def telescope(t: Term, kind: type = Pi) -> tuple[list[tuple[Name, Term]], Term]:
 
 BINDER, OUTSIDE, INSIDE, DATA = "binder", "outside", "inside", "data"
 
-# Each compound node's fields but the span, with their roles: the name the
-# node binds, a subterm outside or inside that binder's scope, or data. In a
-# tuple of (name, term) pairs the names are data. The binder precedes its
-# scope. Substitution handles the fields in this order.
+# Each compound node's fields but the span, in field order, with their roles:
+# the name the node binds, a subterm outside or inside that binder's scope, or
+# data. In a tuple of (name, term) pairs the names are data. The binder
+# precedes its scope, so substitution can handle the fields in this order.
 BINDING: dict[type, tuple[tuple[str, str], ...]] = {
     App: (("fn", OUTSIDE), ("arg", OUTSIDE)),
     Lam: (("binder", BINDER), ("domain", OUTSIDE), ("body", INSIDE)),
     Pi: (("binder", BINDER), ("domain", OUTSIDE), ("body", INSIDE)),
-    Ind: (("arity", OUTSIDE), ("name", BINDER), ("constructors", INSIDE)),
+    Ind: (("name", BINDER), ("arity", OUTSIDE), ("constructors", INSIDE)),
     Constr: (("index", DATA), ("inductive", OUTSIDE)),
     Match: (("carrier", OUTSIDE), ("scrutinee", OUTSIDE), ("branches", OUTSIDE)),
-    Fix: (("dec_index", DATA), ("signature", OUTSIDE), ("name", BINDER), ("body", INSIDE)),
+    Fix: (("name", BINDER), ("dec_index", DATA), ("signature", OUTSIDE), ("body", INSIDE)),
 }
 
 
 def _shape(kind: type):
-    """kind's roles in table order, a getter of its field values in that
-    order, and a getter that reorders such values into constructor order."""
+    """kind's roles in field order, and a getter of its field values in that order."""
     names, roles = zip(*BINDING[kind])
-    params = [f.name for f in fields(kind) if f.name != "span"]
-    return roles, attrgetter(*names), itemgetter(*map(names.index, params))
+    return roles, attrgetter(*names)
 
 
 _SHAPES = {kind: _shape(kind) for kind in BINDING}
 
 
 def children(t: Term, roles=(OUTSIDE, INSIDE)) -> list[Term]:
-    """The subterms of t in fields of the given roles, in table order."""
+    """The subterms of t in fields of the given roles, in field order."""
     subterms: list[Term] = []
     if type(t) in _SHAPES:  # a variable or universe has none
-        kinds, values, _ = _SHAPES[type(t)]
+        kinds, values = _SHAPES[type(t)]
         for role, value in zip(kinds, values(t)):
             if role in roles:
                 if type(value) is tuple:
@@ -246,7 +251,7 @@ def free_vars(t: Term) -> frozenset[Name]:
     elif kind is Universe:
         fv = frozenset()
     else:
-        roles, values, _ = _SHAPES[kind]
+        roles, values = _SHAPES[kind]
         fv, bound = frozenset(), ()
         for role, value in zip(roles, values(t)):
             if role is OUTSIDE and type(value) is not tuple:  # the common case, kept fast
@@ -278,7 +283,7 @@ def _subst_all(sigma: dict[Name, Term], t: Term) -> Term:
     kind = type(t)
     if kind is Var:
         return sigma[t.name]
-    roles, values, params = _SHAPES[kind]
+    roles, values = _SHAPES[kind]
     args = []
     for role, value in zip(roles, values(t)):
         if role is OUTSIDE and type(value) is not tuple:  # the common case, kept fast
@@ -295,7 +300,7 @@ def _subst_all(sigma: dict[Name, Term], t: Term) -> Term:
             else:
                 value = _subst_all(scope, value)
         args.append(value)
-    return kind(*params(args))
+    return kind(*args)
 
 
 def _under_binder(sigma: dict[Name, Term], binder: Name, scope: list[Term]):
@@ -354,7 +359,7 @@ def alpha_eq(a: Term, b: Term) -> bool:
             if a.level != b.level:
                 return False
         else:
-            roles, values, _ = _SHAPES[kind]
+            roles, values = _SHAPES[kind]
             outside, inside, binders = [], [], None
             for role, u, v in zip(roles, values(a), values(b)):
                 if role is BINDER:

@@ -11,7 +11,7 @@ import pytest
 
 import pielang
 from conftest import corpus_source
-from pielang import Context, DefDecl, parse_program
+from pielang import Context, DefDecl, cli, parse_program, pretty
 from pielang.syntax import children
 from pielang.cli import (
     NEGATIVE_CORPUS,
@@ -40,6 +40,15 @@ class TestCheckSource:
         lines = report.lines(dump_types=True)
         assert "o : Set" in lines
         assert "true : o -> Set" in lines
+
+    def test_types_are_printed_only_when_asked_for(self, monkeypatch):
+        printed = []
+        monkeypatch.setattr(cli, "pretty", lambda t: printed.append(t) or pretty(t))
+        report = check_source(corpus_source("nat_proofs.pie"))
+        assert report.exit_code == 0 and printed == []
+        lines = report.lines(dump_types=True)
+        assert printed == [t for _, t, _ in report.decls] and len(printed) > 2
+        assert lines == [f"{name} : {pretty(t)}" for name, t, _ in report.decls]
 
     def test_reports_are_deterministic(self):
         first = check_source(corpus_source("printf.pie")).lines(dump_types=True)

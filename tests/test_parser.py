@@ -236,7 +236,7 @@ class TestDeclarationRecords:
     part in equality, hash and repr; their fields and class patterns stay."""
 
     def test_fields_cannot_be_assigned_or_deleted(self, decl, names, text):
-        for name in names:
+        for name in (*names, "unknown"):
             with pytest.raises(FrozenInstanceError):
                 setattr(decl, name, None)
             with pytest.raises(FrozenInstanceError):

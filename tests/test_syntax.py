@@ -31,7 +31,7 @@ from pielang import (
     pretty,
     subst,
 )
-from pielang.syntax import BINDING, SourceSpan
+from pielang.syntax import BINDING, INSIDE, SourceSpan, children
 from strategies import ctor_labels, lambda_terms, names, terms
 
 x, y, z = Name("x"), Name("y"), Name("z")
@@ -91,6 +91,11 @@ def test_binding_table_covers_every_compound_term():
     assert {*BINDING, Var, Universe} == set(Term.__subclasses__())
 
 
+@pytest.mark.parametrize("kind", BINDING, ids=lambda kind: kind.__name__)
+def test_binding_table_lists_the_fields_in_field_order(kind):
+    assert [name for name, _ in BINDING[kind]] == [f.name for f in fields(kind) if f.name != "span"]
+
+
 A, B = Var(Name("A")), Var(Name("B"))
 IND = Ind(Name("N"), Universe(0), ((Name("Z"), Var(Name("N"))),))
 # one node of each class, its fields in order, and its repr
@@ -122,13 +127,20 @@ def test_the_contract_covers_every_term_class():
     assert {type(node) for node, _, _ in NODES} == set(Term.__subclasses__())
 
 
+def test_children_are_listed_in_field_order():
+    N = Var(Name("N"))  # IND's one constructor type
+    expected = [[], [], [A, B], [A, B], [A, B], [Universe(0), N], [IND], [A, B, A], [A, B]]
+    assert [children(node) for node, _, _ in NODES] == expected
+    assert children(IND, (INSIDE,)) == [N] and children(Fix(Name("f"), 0, A, B), (INSIDE,)) == [B]
+
+
 @pytest.mark.parametrize("node, names, text", NODES, ids=lambda v: type(v).__name__)
 class TestNodes:
     """Every term class is a frozen dataclass: immutable, compared and hashed
     without its span, with the fields, repr and class patterns it always had."""
 
     def test_fields_cannot_be_assigned_or_deleted(self, node, names, text):
-        for name in names:
+        for name in (*names, "_free_vars", "unknown"):  # the memo slot and no slot at all
             with pytest.raises(FrozenInstanceError):
                 setattr(node, name, None)
             with pytest.raises(FrozenInstanceError):
