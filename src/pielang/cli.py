@@ -22,7 +22,8 @@ from .typecheck import elaborate
 @dataclass
 class CheckReport:
     file: str
-    decls: list[tuple[Name, Term, str]] = field(default_factory=list)  # name, type, ok|failed
+    # name, type (None if failed), ok|failed
+    decls: list[tuple[Name, Term | None, str]] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     exit_code: int = 0
     extra_lines: list[str] = field(default_factory=list)

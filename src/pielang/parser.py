@@ -154,11 +154,20 @@ _BINDERS = {"λ": Lam, "lam": Lam, "Π": Pi, "Pi": Pi}
 _THEN = {":": (".",), "<": (">", "match"), "match": ("with", "{")}
 
 
+class _Names(dict):
+    """The one Name of each spelling read so far."""
+
+    def __missing__(self, text: str) -> Name:
+        name = self[text] = tuple.__new__(Name, (text, 0))  # skips Name's Python __new__
+        return name
+
+
 class _Parser:
     def __init__(self, tokens: Iterator[tuple]):
         self.rest = tokens
         self.tok = next(self.rest)  # the next token, laid out as Token: tok[0] is its kind
         self.arrows = 0  # the tag of the last arrow binder
+        self.names = _Names()  # so a parse makes one Name per spelling
 
     def expect(self, kind: str) -> tuple:
         tok = self.tok
@@ -171,7 +180,7 @@ class _Parser:
         """A name, which must not be one of seen, the names of earlier `what`s."""
         tok = self.tok if self.tok[0] == "name" else self.expect("name")  # which fails
         self.tok = next(self.rest, tok)
-        if (name := tuple.__new__(Name, (tok[1], 0))) in seen:  # skips Name's Python __new__
+        if (name := self.names[tok[1]]) in seen:
             fail("Parse", f"duplicate {what} {name}", _span(tok))
         return name, _span(tok)
 
@@ -217,7 +226,8 @@ class _Parser:
         it), a binder's ':' or '.', '->', or a match's '<', 'match' or '=>'.
         `term` is None while an expression is to be read, else the one just read."""
         stack: list[tuple] = []
-        rest, new = self.rest, tuple.__new__  # new skips Name's Python __new__
+        # spans are made inline, as _span makes them; new skips a named tuple's Python __new__
+        rest, names, new = self.rest, self.names, tuple.__new__
         term = None
         while True:
             if term is None:
@@ -225,11 +235,11 @@ class _Parser:
                 self.tok = next(rest, tok)
                 kind = tok[0]
                 if kind == "name":
-                    term = Var(new(Name, (tok[1], 0)), _span(tok))
+                    term = Var(names[tok[1]], new(SourceSpan, (tok[2], tok[3], tok[2], tok[4])))
                 elif kind in ("(", "<"):
                     stack.append((kind, tok))
                 elif kind in _BINDERS:
-                    stack.append((":", tok, new(Name, (self.expect("name")[1], 0))))
+                    stack.append((":", tok, names[self.expect("name")[1]]))
                     self.expect(":")
                 elif kind in ("Set", "Prop"):
                     term = Universe(0, _span(tok))
@@ -254,7 +264,8 @@ class _Parser:
                 kind, tok = frame[0], frame[1]
                 if kind == "(":
                     if len(frame) == 3:  # the parts before this one, applied
-                        term = App(frame[2], term, _span(tok))
+                        span = new(SourceSpan, (tok[2], tok[3], tok[2], tok[4]))
+                        term = App(frame[2], term, span)
                     if self.tok[0] == ")":
                         self.expect(")")
                     else:
@@ -262,7 +273,8 @@ class _Parser:
                         term = None
                 elif kind == "->":  # arrows are numbered in the order they close
                     self.arrows += 1
-                    term = Pi(new(Name, ("x", self.arrows)), frame[2], term, _span(tok))
+                    term = Pi(new(Name, ("x", self.arrows)), frame[2], term,
+                              new(SourceSpan, (tok[2], tok[3], tok[2], tok[4])))
                 elif kind == ".":
                     term = _BINDERS[tok[0]](frame[2], frame[3], term, _span(tok))
                 elif kind in _THEN:  # after a binder's domain, or a match's carrier or scrutinee

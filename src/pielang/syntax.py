@@ -266,6 +266,36 @@ def free_vars(t: Term) -> frozenset[Name]:
     return fv
 
 
+def occurs_free(x: Name, t: Term) -> bool:
+    """Whether x is free in t, as `x in free_vars(t)` says, but in one loop
+    that stops at the first occurrence, reads free_vars' memo where a node
+    has one and fills none; a binder of x hides its scope."""
+    work = [t]
+    while work:
+        t = work.pop()
+        if (fv := t._free_vars) is not None:
+            if x in fv:
+                return True
+            continue
+        kind = type(t)
+        if kind is Var:
+            if t.name == x:
+                return True
+        elif kind is not Universe:
+            roles, values = _SHAPES[kind]
+            hidden = False
+            for role, value in zip(roles, values(t)):
+                if role is BINDER:
+                    hidden = value == x
+                elif role is DATA or hidden and role is INSIDE:
+                    continue
+                elif type(value) is tuple:
+                    work.extend([sub for _, sub in value])
+                else:
+                    work.append(value)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------

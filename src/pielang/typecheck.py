@@ -24,66 +24,104 @@ from .syntax import (
     _subst_all,
     free_vars,
     fresh_name,
+    occurs_free,
     subst,
 )
+
+
+# Each frame on type_check's stack waits for the type t of one subterm:
+#   ("domain", Γ, e)       of the domain of e, a λ or Π, in Γ;
+#   ("λ", x, T)            of the body of λx:T;
+#   ("Π", Γ', i, span)     of the body of a Π whose domain has type Type i, in Γ';
+#   ("app", Γ, apps, tf, sigma, domain)
+#                          of a spine's head if tf is None, else of the argument of
+#                          apps[-1], whose domain is domain (tf's, under sigma).
+_BINDER_RULES = {Lam: ("T-Abs", "lambda domain is not a type"),
+                 Pi: ("T-PI", "Pi domain is not a type")}
 
 
 def type_check(ctxt: Context, e: Term) -> Term:
     """Return *a* type of e, not necessarily normal, or raise CheckError
     with the violated rule. Compare types with `ensure_equal`; normalise one
-    only to show it or to walk its structure."""
-    match e:
-        case Var(name=x, span=span):
-            t = ctxt.lookup_type(x)
+    only to show it or to walk its structure. One loop over a stack of frames
+    (above), so no nesting of λ, Π or applications takes a Python frame per
+    level; an inductive, constructor, match or fixpoint goes to its rule,
+    which types its parts with a loop of its own."""
+    stack: list[tuple] = []
+    while True:
+        kind = type(e)  # e is to be typed in ctxt; t is its type, once known
+        if kind is Var:
+            t = ctxt.lookup_type(e.name)
             if t is None:
-                fail("T-Var", f"unbound variable {x}", span)
-            return t
-        case Universe(level=i):
-            return Universe(i + 1)
-        case Lam(binder=x, domain=t, body=b, span=span):
-            ensure_universe(ctxt, t, "T-Abs", "lambda domain is not a type", span)
-            inner, x, b = enter(ctxt, x, t, b)
-            return Pi(x, t, type_check(inner, b))
-        case Pi(binder=x, domain=t, body=b, span=span):
-            i = ensure_universe(ctxt, t, "T-PI", "Pi domain is not a type", span)
-            inner, _, b = enter(ctxt, x, t, b)
-            j = ensure_universe(inner, b, "T-PI", "Pi codomain is not a type", span)
-            return Universe(max(i, j))
-        case App():
-            return _check_spine(ctxt, e)
-        case Ind(arity=t):
+                fail("T-Var", f"unbound variable {e.name}", e.span)
+        elif kind is Universe:
+            t = Universe(e.level + 1)
+        elif kind is Lam or kind is Pi:
+            stack.append(("domain", ctxt, e))
+            e = e.domain
+            continue
+        elif kind is App:
+            apps = []
+            while type(e) is App:
+                apps.append(e)
+                e = e.fn
+            stack.append(("app", ctxt, apps, None, {}, None))
+            continue
+        elif kind is Ind:
             inductive.check_ind(ctxt, e)
+            t = e.arity
+        elif kind is Constr:
+            t = inductive.check_constr(ctxt, e)
+        elif kind is Match:
+            t = inductive.check_match(ctxt, e)
+        elif kind is Fix:
+            t = termination.check_fix(ctxt, e)
+        else:
+            raise TypeError(f"not a term: {e!r}")
+        while stack:  # hand t to the frames it completes, up to one that needs more
+            frame = stack.pop()
+            tag = frame[0]
+            if tag == "domain":  # t types a binder's domain: Γ ⊢ domain : Type i
+                _, ctxt, e = frame
+                if type(t) is not Universe:
+                    t = normalise(t, ctxt)
+                    if type(t) is not Universe:
+                        fail(*_BINDER_RULES[type(e)], e.span, actual=t)
+                ctxt, x, body = enter(ctxt, e.binder, e.domain, e.body)
+                if type(e) is Lam:
+                    stack.append(("λ", x, e.domain))
+                else:
+                    stack.append(("Π", ctxt, t.level, e.span))
+                e = body
+                break
+            if tag == "λ":  # T-Abs: Γ, x : T ⊢ body : t
+                t = Pi(frame[1], frame[2], t)
+            elif tag == "Π":  # T-PI: Γ, x : T ⊢ body : Type j
+                _, inner, i, span = frame
+                if type(t) is not Universe:
+                    t = normalise(t, inner)
+                    if type(t) is not Universe:
+                        fail("T-PI", "Pi codomain is not a type", span, actual=t)
+                t = Universe(max(i, t.level))
+            else:  # T-App for a whole spine (f a1 ... an), in one pass
+                _, ctxt, apps, tf, sigma, domain = frame
+                if tf is not None:  # t types the argument of apps[-1]
+                    app = apps.pop()
+                    ensure_equal(ctxt, t, domain, "T-App", "argument type mismatch", app.span)
+                    sigma[tf.binder] = app.arg
+                    t = tf.body
+                if not apps:  # sigma maps the binders passed so far to their arguments
+                    t = _subst_all(sigma, t)
+                    continue
+                if type(t) is not Pi:  # sigma is applied to the Π chain only here
+                    t, sigma = normalise(_subst_all(sigma, t), ctxt), {}
+                    if type(t) is not Pi:
+                        fail("T-App", "applying a non-function", apps[-1].span, actual=t)
+                stack.append(("app", ctxt, apps, t, sigma, _subst_all(sigma, t.domain)))
+                e = apps[-1].arg
+                break
+        else:
             return t
-        case Constr():
-            return inductive.check_constr(ctxt, e)
-        case Match():
-            return inductive.check_match(ctxt, e)
-        case Fix():
-            return termination.check_fix(ctxt, e)
-    raise TypeError(f"not a term: {e!r}")
-
-
-def _check_spine(ctxt: Context, e: App) -> Term:
-    """Rule T-App for a whole spine (f a1 ... an), in one pass. Each ai is
-    checked against its domain under sigma, which maps the binders passed
-    so far to their arguments; sigma is applied to the Π chain only where
-    it is not syntactically a Π, and to the codomain once, at the end."""
-    apps = []
-    while isinstance(e, App):
-        apps.append(e)
-        e = e.fn
-    tf, sigma = type_check(ctxt, e), {}
-    for app in reversed(apps):
-        if not isinstance(tf, Pi):
-            tf, sigma = normalise(_subst_all(sigma, tf), ctxt), {}
-            if not isinstance(tf, Pi):
-                fail("T-App", "applying a non-function", app.span, actual=tf)
-        domain = _subst_all(sigma, tf.domain)
-        ensure_equal(ctxt, type_check(ctxt, app.arg), domain, "T-App", "argument type mismatch",
-                     app.span)
-        sigma[tf.binder] = app.arg
-        tf = tf.body
-    return _subst_all(sigma, tf)
 
 
 def ensure_universe(ctxt: Context, t: Term, rule: str, message: str, span=None) -> int:
@@ -124,7 +162,8 @@ def enter(ctxt: Context, x: Name, t: Term, *scope: Term) -> tuple:
 @dataclass
 class ElabResult:
     context: Context
-    entries: list[tuple[Name, Term, str]] = field(default_factory=list)  # name, type, ok|failed
+    # name, type (None if failed), ok|failed
+    entries: list[tuple[Name, Term | None, str]] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
@@ -152,7 +191,7 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                 case DefDecl(name=name, span=span):
                     claim(name, span)
                     declared, value = desugar_def(decl)
-                    if name in free_vars(value):  # recursive; a failed guard is reported first
+                    if occurs_free(name, value):  # recursive; a failed guard is reported first
                         k = termination.infer_fix_index(name, value)
                         value = Fix(name, k, declared, value, span=span)
                     ensure_universe(
@@ -178,7 +217,7 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
             if diag.span is None:
                 diag.span = decl.span
             result.diagnostics.append(diag)
-            result.entries.append((decl.name, getattr(decl, "type", None), "failed"))
+            result.entries.append((decl.name, None, "failed"))
 
     result.context = ctxt
     return result

@@ -11,7 +11,7 @@ import pytest
 
 import pielang
 from conftest import corpus_source
-from pielang import Context, DefDecl, cli, parse_program, pretty
+from pielang import Context, DefDecl, Name, Var, cli, parse_program, pretty
 from pielang.syntax import children
 from pielang.cli import (
     NEGATIVE_CORPUS,
@@ -172,8 +172,7 @@ class TestDepth:
         assert reports[0].exit_code == 0, reports[0].lines()
 
     # The parser takes no Python frame per nesting level, so any depth parses
-    # at the default limit (the deep shapes other than parentheses then still
-    # crash in `type_check`). Parentheses around one atom leave no node.
+    # at the default limit. Parentheses around one atom leave no node.
     @pytest.mark.parametrize("source, depth", [
         (nested("numeral", 5000), 5001),
         (nested("arrow", 5000), 5001),
@@ -188,6 +187,33 @@ class TestDepth:
         assert sys.getrecursionlimit() == 1000
         decl = parse_program(source).decls[-1]
         assert nesting(decl.body if isinstance(decl, DefDecl) else decl.type) == depth
+
+    # type_check and elaborate's recursion check take no Python frame per level
+    # either, so these shapes also check at any depth
+    @pytest.mark.parametrize("shape", ["numeral", "arrow", "binder"])
+    def test_any_depth_checks_at_the_default_recursion_limit(self, shape):
+        assert sys.getrecursionlimit() == 1000
+        report = check_source(nested(shape, 20000))
+        assert report.exit_code == 0, report.lines()
+
+    # a rule that fails deep in a chain gives the rule, message and span that
+    # the recursive checker gave with a raised limit: the '->' after the one `a`,
+    # and the '(' of the application at the bottom of the λ chain
+    @pytest.mark.parametrize("source, rule, message, span", [
+        ("Axiom A : Set;\nAxiom a : A;\nAxiom d : "
+         + " -> ".join("a" if i == 2500 else "A" for i in range(5001)) + ";",
+         "T-PI", "Pi domain is not a type", (3, 12513, 3, 12514)),
+        ("Axiom A : Set;\ndef d() : " + "".join(f"Πx{i}:A." for i in range(5000)) + "A { "
+         + "".join(f"λx{i}:A." for i in range(5000)) + "(x0 x1) };",
+         "T-App", "applying a non-function", (2, 87795, 2, 87795)),
+    ], ids=["arrow", "lambda"])
+    def test_a_rule_fails_deep_in_a_chain_as_near_the_top(self, source, rule, message, span):
+        assert sys.getrecursionlimit() == 1000
+        report = check_source(source)
+        [diag] = report.diagnostics
+        assert (diag.rule, diag.message, tuple(diag.span)) == (rule, message, span)
+        assert diag.actual == Var(Name("A"))
+        assert report.decls[-1] == (Name("d"), None, "failed")
 
     # 500 parentheses used to raise RecursionError out of the parser
     @pytest.mark.parametrize("depth", [500, 5000])

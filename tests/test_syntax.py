@@ -31,7 +31,7 @@ from pielang import (
     pretty,
     subst,
 )
-from pielang.syntax import BINDING, INSIDE, SourceSpan, children
+from pielang.syntax import BINDER, BINDING, INSIDE, SourceSpan, children, occurs_free
 from strategies import ctor_labels, lambda_terms, names, terms
 
 x, y, z = Name("x"), Name("y"), Name("z")
@@ -85,6 +85,27 @@ class TestFreeVars:
     @settings(max_examples=200)
     def test_matches_nameless_oracle(self, t):
         assert {(n.text, n.fresh_tag) for n in free_vars(t)} == nameless_free(to_nameless(t))
+
+    # first with t's memos as they come, which it must leave as they are;
+    # then with those of t's children filled, and of t itself, which it reads
+    @given(terms)
+    @settings(max_examples=500, deadline=None)
+    def test_occurrence_search_agrees_with_free_vars(self, t):
+        names, nodes = {z}, [t]  # every name of t, bound or free, and one it lacks
+        for node in nodes:
+            names.update(getattr(node, f) for f, role in BINDING.get(type(node), ())
+                         if role == BINDER)
+            if isinstance(node, Var):
+                names.add(node.name)
+            nodes.extend(children(node))
+        memos = [node._free_vars for node in nodes]
+        found = {x: occurs_free(x, t) for x in names}
+        assert [node._free_vars for node in nodes] == memos
+        for sub in children(t):
+            free_vars(sub)
+        partly = {x: occurs_free(x, t) for x in names}
+        expected = {x: x in free_vars(t) for x in names}
+        assert found == partly == expected == {x: occurs_free(x, t) for x in names}
 
 
 def test_binding_table_covers_every_compound_term():

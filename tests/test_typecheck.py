@@ -128,6 +128,17 @@ class TestElaboration:
         assert statuses["bad"] == "failed"
         assert statuses["p"] == "ok"
 
+    # nothing prints a rejected declaration's type, so none is kept for any kind
+    @pytest.mark.parametrize("decl", [
+        "Axiom bad : a;",
+        "def bad(x : o) : o { o };",
+        "Inductive bad : Set := | c : o;",
+    ], ids=["axiom", "def", "inductive"])
+    def test_a_rejected_declaration_has_no_type(self, decl):
+        result = elaborate(parse_program("Axiom o : Set; Axiom a : o; " + decl))
+        assert len(result.diagnostics) == 1
+        assert result.entries[-1] == (Name("bad"), None, "failed")
+
     def test_definition_body_must_match_declared_type(self):
         program = parse_program("Axiom o : Set; def f(x : o) : o { o };")
         result = elaborate(program)
