@@ -5,7 +5,7 @@ from .context import Context
 from .diagnostics import CheckError, fail
 from .syntax import BINDER, BINDING, INSIDE, OUTSIDE, App, Fix, Lam, Match, Name, Term, Var
 from .syntax import children, free_vars, spine, telescope
-from .typecheck import ensure_equal, ensure_universe, enter, type_check
+from .typecheck import check, ensure_universe, enter
 
 
 def guard_check(f: Name, k: int, xk: Name | None, guarded: frozenset[Name], e: Term) -> None:
@@ -62,8 +62,8 @@ def _guard_fix(f: Name, k: int, body: Term) -> None:
 def check_fix(ctxt: Context, fix: Fix) -> Term:
     ensure_universe(ctxt, fix.signature, "T-Fix", "fixpoint signature is not a type", fix.span)
     inner, f, body = enter(ctxt, fix.name, fix.signature, fix.body)
-    ensure_equal(inner, type_check(inner, body), fix.signature, "T-Fix",
-                 f"fixpoint body of {fix.name} does not have the declared type", fix.span)
+    check(inner, body, fix.signature, "T-Fix",
+          f"fixpoint body of {fix.name} does not have the declared type", fix.span)
     binders, _ = telescope(body, Lam)
     if not 0 <= fix.dec_index < len(binders):
         fail(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .context import Context
 from .diagnostics import CheckError, Diagnostic, fail
-from .normalize import mismatch, normalise
+from .normalize import check_equal, mismatch, normalise
 from .parser import AxiomDecl, DefDecl, InductiveDeclSrc, desugar_def
 from .syntax import (
     App,
@@ -22,6 +22,7 @@ from .syntax import (
     Universe,
     Var,
     _subst_all,
+    alpha_eq,
     free_vars,
     fresh_name,
     occurs_free,
@@ -32,7 +33,7 @@ from .syntax import (
 # Each frame on type_check's stack waits for the type t of one subterm:
 #   ("domain", Γ, e)       of the domain of e, a λ or Π, in Γ;
 #   ("λ", x, T)            of the body of λx:T;
-#   ("Π", Γ', i, span)     of the body of a Π whose domain has type Type i, in Γ';
+#   ("Π", Γ', u, span)     of the body of a Π whose domain has type u, a universe, in Γ';
 #   ("app", Γ, apps, tf, sigma, domain)
 #                          of a spine's head if tf is None, else of the argument of
 #                          apps[-1], whose domain is domain (tf's, under sigma).
@@ -91,18 +92,19 @@ def type_check(ctxt: Context, e: Term) -> Term:
                 if type(e) is Lam:
                     stack.append(("λ", x, e.domain))
                 else:
-                    stack.append(("Π", ctxt, t.level, e.span))
+                    stack.append(("Π", ctxt, t, e.span))
                 e = body
                 break
             if tag == "λ":  # T-Abs: Γ, x : T ⊢ body : t
                 t = Pi(frame[1], frame[2], t)
             elif tag == "Π":  # T-PI: Γ, x : T ⊢ body : Type j
-                _, inner, i, span = frame
+                _, inner, u, span = frame
                 if type(t) is not Universe:
                     t = normalise(t, inner)
                     if type(t) is not Universe:
                         fail("T-PI", "Pi codomain is not a type", span, actual=t)
-                t = Universe(max(i, t.level))
+                if u.level > t.level:  # the larger universe, of the two already built
+                    t = u
             else:  # T-App for a whole spine (f a1 ... an), in one pass
                 _, ctxt, apps, tf, sigma, domain = frame
                 if tf is not None:  # t types the argument of apps[-1]
@@ -136,10 +138,36 @@ def ensure_equal(ctxt: Context, actual: Term, expected: Term, rule: str, message
                  span=None) -> None:
     """Check that actual converts to expected, or fail with both normalised:
     their normal forms are read back from the values the failed conversion
-    built, not evaluated again."""
+    built, not evaluated again. A term is equal to itself with no look at it."""
+    if actual is expected:
+        return
     forms = mismatch(actual, expected, ctxt)
     if forms is not None:
         fail(rule, message, span, expected=forms[1], actual=forms[0])
+
+
+def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, span=None) -> None:
+    """Check e against t, a type in ctxt. While e is a λ and t a Π that bind
+    the same name over alpha-equal domains, both enter one context as one
+    binder, whose domain needs no typing, since t's was typed in the same
+    context; only the rest of e is inferred, and compared with the rest of t.
+    If they differ, the Π type that T-Abs infers for e is rebuilt from the
+    binders entered and compared with t in ctxt, so the report is the one
+    that inferring e and comparing its type would give."""
+    # entered holds the binders entered, innermost first: (x, domain, the outer ones)
+    inner, entered, declared = ctxt, None, t
+    while (type(e) is Lam and type(t) is Pi and e.binder == t.binder
+           and alpha_eq(e.domain, t.domain)):
+        domain = e.domain
+        inner, x, e, t = enter(inner, e.binder, domain, e.body, t.body)
+        entered = x, domain, entered
+    actual = type_check(inner, e)
+    if entered and check_equal(actual, t, inner):
+        return
+    while entered:
+        x, domain, entered = entered
+        actual = Pi(x, domain, actual)
+    ensure_equal(ctxt, actual, declared, rule, message, span)
 
 
 def enter(ctxt: Context, x: Name, t: Term, *scope: Term) -> tuple:
@@ -197,8 +225,8 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                     ensure_universe(
                         ctxt, declared, "T-PI", "declared type must live in a universe", span
                     )
-                    ensure_equal(ctxt, type_check(ctxt, value), declared, "T-App",
-                                 f"definition {name} does not have its declared type", span)
+                    check(ctxt, value, declared, "T-App",
+                          f"definition {name} does not have its declared type", span)
                     ctxt = ctxt.declare(name, declared, value)
                     result.entries.append((name, declared, "ok"))
                 case InductiveDeclSrc(name=name, span=span):

@@ -215,6 +215,17 @@ class TestDepth:
         assert diag.actual == Var(Name("A"))
         assert report.decls[-1] == (Name("d"), None, "failed")
 
+    # a binder whose name the context already binds is renamed by enter, which
+    # reads the free names of its whole scope, and substitutes into it, by recursion
+    @pytest.mark.xfail(strict=True, raises=RecursionError, reason="enter's free_vars and"
+                       " subst recurse per level; a flat free_vars and _subst_all (ROADMAP"
+                       " item 1, second half) mend it")
+    def test_a_chain_of_binders_sharing_one_name_checks_at_the_default_recursion_limit(self):
+        assert sys.getrecursionlimit() == 1000
+        report = check_source("Axiom A : Set;\ndef d() : " + "Πx:A." * 2000 + "A { "
+                              + "λx:A." * 2000 + "x };")
+        assert report.exit_code == 0, report.lines()
+
     # 500 parentheses used to raise RecursionError out of the parser
     @pytest.mark.parametrize("depth", [500, 5000])
     def test_deep_parentheses_check_like_shallow_ones(self, depth):

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
@@ -30,7 +32,10 @@ from pielang import (
     subst,
     type_check,
 )
+from pielang import termination, typecheck
+from pielang.cli import check_source
 from pielang.syntax import telescope
+from pielang.typecheck import ensure_equal
 from strategies import terms
 
 EMPTY = Context()
@@ -166,6 +171,88 @@ class TestElaboration:
         line = diag.render("ex.pie")
         assert line.startswith("error[T-Var] ex.pie:1:")
         assert "missing" in line
+
+
+# Checking a def against its declared type, built from drawn Π and λ chains:
+# a λ chain is the Π chain, or that chain with one binder's name or domain
+# changed, cut short or run on. The names a, x and A shadow axioms, so their
+# binders are renamed; y shadows only other binders.
+CHECKED = ("Axiom A : Set; Axiom B : Set; Axiom a : A; Axiom b : B; Axiom x : A;"
+           " Axiom P : A -> Set;\n")
+binder_pairs = st.tuples(st.sampled_from(("x", "y", "a", "A")),
+                         st.sampled_from(("A", "B", "Set", "(P a)", "x", "(P x)")))
+
+
+@st.composite
+def checked_defs(draw):
+    pis = draw(st.lists(binder_pairs, max_size=4))
+    lams = pis[:draw(st.integers(0, len(pis)))] if draw(st.booleans()) else list(pis)
+    if lams and draw(st.booleans()):
+        lams[draw(st.integers(0, len(lams) - 1))] = draw(binder_pairs)
+    lams += draw(st.lists(binder_pairs, max_size=2))
+    result = draw(st.sampled_from(("A", "B", "(P a)", "Set", "x")))
+    body = draw(st.sampled_from(("a", "b", "A", "x", "y", "λz:A.z", "(P a)", "B")))
+    type_ = "".join(f"Π{x}:{d}." for x, d in pis) + result
+    value = "".join(f"λ{x}:{d}." for x, d in lams) + body
+    return CHECKED + f"def d() : {type_} {{ {value} }};", draw(st.sampled_from((None, 3, 0)))
+
+
+def _inferred_and_compared(ctxt, e, t, rule, message, span=None):
+    """What `check` replaces: T-Abs infers a whole Π type, compared with t."""
+    ensure_equal(ctxt, type_check(ctxt, e), t, rule, message, span)
+
+
+def _checked(source: str, budget):
+    result = elaborate(parse_program(source, "d.pie"), Context(budget=budget))
+    return result.entries, [(d.rule, d.message, d.span, d.render("d.pie"))
+                            for d in result.diagnostics]
+
+
+class TestCheck:
+    """`check` walks a λ chain along the declared Π chain and infers only
+    the rest, but reports as inferring the whole value and comparing did."""
+
+    @given(case=checked_defs())
+    @example(case=(CHECKED + "def d() : Πa:A.Πx:(P a).B { λa:A.λx:(P a).b };", None))
+    @example(case=(CHECKED + "def d() : Πa:A.Πx:(P a).B { λa:A.λx:(P a).a };", None))
+    @example(case=(CHECKED + "def d() : Πx:A.Πx:B.A { λx:A.λx:B.x };", None))
+    @settings(max_examples=500, deadline=None)
+    def test_checking_reports_as_inferring_and_comparing(self, case):
+        source, budget = case
+        checked = _checked(source, budget)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(typecheck, "check", _inferred_and_compared)
+            patch.setattr(termination, "check", _inferred_and_compared)
+            assert checked == _checked(source, budget)
+
+    # with the recursive depth limit, a 5000-binder Π type cannot be read back
+    # for a report, so there the report is the refusal the inferred type gave
+    @pytest.mark.parametrize("depth, reported", [
+        (3000, "T-App] <input>:4:5: definition d does not have its declared type "
+               "(expected {}A, got {}B)"),
+        (5000, "Budget] <input>:4:5: normalization exceeded the nesting depth limit of 4000"),
+    ], ids=["3000", "5000"])
+    def test_a_body_that_mismatches_deep_under_lambdas_reports_the_whole_type(
+            self, depth, reported):
+        assert sys.getrecursionlimit() == 1000
+        binders = [f"x{i}" for i in range(depth)]
+        pis = "".join(f"Π{x}:A." for x in binders)
+        source = ("Axiom A : Set;\nAxiom B : Set;\nAxiom b : B;\ndef d() : " + pis + "A { "
+                  + "".join(f"λ{x}:A." for x in binders) + "b };")
+        assert check_source(source).lines() == ["error[" + reported.format(pis, pis)]
+
+    def test_a_recursive_def_with_a_wrong_result_type_fails_its_fixpoint(self):
+        # the parameter b shadows the axiom, so both chains rename it; the
+        # reported types are read back, which names their binders afresh
+        source = NAT + (
+            "Axiom B : Set; Axiom b : B; Axiom const : B -> Nat -> B;\n"
+            "def f(n : Nat, b : B) : Nat { <λm:Nat.B> match n with "
+            "{ Zero => b; Succ => λm:Nat.(const b (f m b)) } };"
+        )
+        assert check_source(source).lines() == [
+            "error[T-Fix] <input>:3:5: fixpoint body of f does not have the declared type "
+            "(expected Πn:Nat.Πb:B.Nat, got Πn:Nat.B -> B)"
+        ]
 
 
 def _status(source: str, name: str) -> str:
