@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .context import Context
 from .diagnostics import Diagnostic, fail
-from .normalize import check_equal, normalise
+from .normalize import normalise
 from .syntax import (
     App,
     Constr,
@@ -21,7 +21,7 @@ from .syntax import (
     subst,
     telescope,
 )
-from .typecheck import ensure_equal, ensure_universe, enter, type_check
+from .typecheck import check, ensure_equal, ensure_universe, enter, type_check
 
 
 def upsilon(t: Term) -> Universe:
@@ -43,7 +43,7 @@ def positive_check(ctor_type: Term, ind_name: Name, params: int) -> list[Diagnos
     left-of-arrow occurrence is flagged with a warning."""
     warnings: list[Diagnostic] = []
     t = ctor_type
-    while isinstance(t, Pi):
+    while isinstance(t, Pi) and t.binder != ind_name:  # a binder so named hides it
         dependent = t.binder in free_vars(t.body)
         if ind_name in free_vars(t.domain):
             if dependent:
@@ -134,14 +134,8 @@ def check_match(ctxt: Context, m: Match) -> Term:
     carrier_type = normalise(type_check(ctxt, m.carrier), ctxt)
     level = _carrier_level(carrier_type, params, m)
     expected_carrier = _expected_carrier_type(head, level)
-    if not check_equal(carrier_type, expected_carrier, ctxt):
-        fail(
-            "T-Match",
-            "carrier has the wrong type",
-            m.span,
-            expected=expected_carrier,
-            actual=carrier_type,
-        )
+    ensure_equal(ctxt, carrier_type, expected_carrier, "T-Match", "carrier has the wrong type",
+                 m.span)
 
     ctors = head.constructors
     if len(m.branches) != len(ctors):
@@ -160,8 +154,7 @@ def check_match(ctxt: Context, m: Match) -> Term:
             )
         closed = subst(head.name, head, ctype)
         expected = case_type(closed, m.carrier, Constr(i, head))
-        ensure_equal(ctxt, type_check(ctxt, body), expected, "T-Match",
-                     f"branch {bname} has the wrong type", m.span)
+        check(ctxt, body, expected, "T-Match", f"branch {bname} has the wrong type", m.span)
     return normalise(App(apply_spine(m.carrier, args), m.scrutinee), ctxt)
 
 
@@ -186,8 +179,8 @@ def _expected_carrier_type(ind: Ind, level: int) -> Term:
 
 def _occurs_left_of_arrow(name: Name, t: Term) -> bool:
     match t:
-        case Pi(domain=d, body=b):
-            return name in free_vars(d) or _occurs_left_of_arrow(name, b)
+        case Pi(binder=x, domain=d, body=b):
+            return name in free_vars(d) or (x != name and _occurs_left_of_arrow(name, b))
         case App(fn=f, arg=a):
             return _occurs_left_of_arrow(name, f) or _occurs_left_of_arrow(name, a)
         case _:

@@ -115,8 +115,6 @@ class _VMatch:
 
 # terms that evaluate to themselves paired with their environment
 _CLOSED_TERMS = (Lam, Pi, Universe, Ind, Constr, Fix)
-# those of them that evaluation and conversion never look inside
-_INERT_TERMS = (Universe, Ind, Constr, Fix)
 
 
 def _constructor(v) -> tuple[Constr | None, tuple]:
@@ -364,10 +362,6 @@ def _within_depth_limit(run):
 
 
 def normalise(e: Term, ctxt: Context, budget: int | None = None) -> Term:
-    if isinstance(e, _INERT_TERMS):
-        # the general path returns these unchanged too, but typing asks for
-        # the normal form of a universe so often that its cost shows
-        return e
     ev = _Evaluator(ctxt, budget)
     return _within_depth_limit(lambda: ev.read_back(ev.eval(e, {})))
 

@@ -84,10 +84,7 @@ def type_check(ctxt: Context, e: Term) -> Term:
             tag = frame[0]
             if tag == "domain":  # t types a binder's domain: Γ ⊢ domain : Type i
                 _, ctxt, e = frame
-                if type(t) is not Universe:
-                    t = normalise(t, ctxt)
-                    if type(t) is not Universe:
-                        fail(*_BINDER_RULES[type(e)], e.span, actual=t)
+                t = _universe(ctxt, t, *_BINDER_RULES[type(e)], e.span)
                 ctxt, x, body = enter(ctxt, e.binder, e.domain, e.body)
                 if type(e) is Lam:
                     stack.append(("λ", x, e.domain))
@@ -99,10 +96,7 @@ def type_check(ctxt: Context, e: Term) -> Term:
                 t = Pi(frame[1], frame[2], t)
             elif tag == "Π":  # T-PI: Γ, x : T ⊢ body : Type j
                 _, inner, u, span = frame
-                if type(t) is not Universe:
-                    t = normalise(t, inner)
-                    if type(t) is not Universe:
-                        fail("T-PI", "Pi codomain is not a type", span, actual=t)
+                t = _universe(inner, t, "T-PI", "Pi codomain is not a type", span)
                 if u.level > t.level:  # the larger universe, of the two already built
                     t = u
             else:  # T-App for a whole spine (f a1 ... an), in one pass
@@ -128,10 +122,17 @@ def type_check(ctxt: Context, e: Term) -> Term:
 
 def ensure_universe(ctxt: Context, t: Term, rule: str, message: str, span=None) -> int:
     """Check that t is typed by a universe; return its level."""
-    tt = normalise(type_check(ctxt, t), ctxt)
-    if not isinstance(tt, Universe):
-        fail(rule, message, span, actual=tt)
-    return tt.level
+    return _universe(ctxt, type_check(ctxt, t), rule, message, span).level
+
+
+def _universe(ctxt: Context, t: Term, rule: str, message: str, span=None) -> Universe:
+    """t, a type in ctxt, if it is a universe; else its normal form, which
+    must be one. Only a type that is not already a universe is normalised."""
+    if type(t) is not Universe:
+        t = normalise(t, ctxt)
+        if type(t) is not Universe:
+            fail(rule, message, span, actual=t)
+    return t
 
 
 def ensure_equal(ctxt: Context, actual: Term, expected: Term, rule: str, message: str,
@@ -149,25 +150,17 @@ def ensure_equal(ctxt: Context, actual: Term, expected: Term, rule: str, message
 def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, span=None) -> None:
     """Check e against t, a type in ctxt. While e is a λ and t a Π that bind
     the same name over alpha-equal domains, both enter one context as one
-    binder, whose domain needs no typing, since t's was typed in the same
+    binder, whose domain needs no typing, since t's is a type in the same
     context; only the rest of e is inferred, and compared with the rest of t.
-    If they differ, the Π type that T-Abs infers for e is rebuilt from the
-    binders entered and compared with t in ctxt, so the report is the one
-    that inferring e and comparing its type would give."""
-    # entered holds the binders entered, innermost first: (x, domain, the outer ones)
-    inner, entered, declared = ctxt, None, t
-    while (type(e) is Lam and type(t) is Pi and e.binder == t.binder
-           and alpha_eq(e.domain, t.domain)):
-        domain = e.domain
-        inner, x, e, t = enter(inner, e.binder, domain, e.body, t.body)
-        entered = x, domain, entered
-    actual = type_check(inner, e)
-    if entered and check_equal(actual, t, inner):
-        return
-    while entered:
-        x, domain, entered = entered
-        actual = Pi(x, domain, actual)
-    ensure_equal(ctxt, actual, declared, rule, message, span)
+    If nothing was entered, or the rest differs, e is inferred whole and its
+    type compared with t in ctxt, so the report is the one that inferring e
+    and comparing its type gives."""
+    inner, body, rest = ctxt, e, t
+    while (type(body) is Lam and type(rest) is Pi and body.binder == rest.binder
+           and alpha_eq(body.domain, rest.domain)):
+        inner, _, body, rest = enter(inner, body.binder, body.domain, body.body, rest.body)
+    if inner is ctxt or not check_equal(type_check(inner, body), rest, inner):
+        ensure_equal(ctxt, type_check(ctxt, e), t, rule, message, span)
 
 
 def enter(ctxt: Context, x: Name, t: Term, *scope: Term) -> tuple:

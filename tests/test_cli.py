@@ -275,6 +275,18 @@ class TestMain:
         out = capsys.readouterr().out
         assert "Zero : Nat" in out
 
+    @pytest.mark.parametrize("argv, line", [
+        (["--normalize", "A"], "error[Parse] {}: --normalize: no value bound to A"),
+        (["--normalize", "two", "--budget", "2"],
+         "error[Budget] {}: normalization exceeded the step budget of 2"),
+    ], ids=["no value", "out of budget"])
+    def test_a_name_that_cannot_be_normalised_fails_the_file(self, tmp_path, capsys, argv, line):
+        # the declarations check at that budget; only the normal form of two needs three steps
+        path = tmp_path / "two.pie"
+        path.write_text(NAT + "Axiom A : Set;\ndef two() : Nat { (Succ (Succ Zero)) };")
+        assert main(["check", *argv, str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [line.format(path)]
+
     def test_missing_file(self, capsys):
         assert main(["check", "no_such_file.pie"]) == 1
 
@@ -329,7 +341,7 @@ def _imports(module: Path):
 # calls that change a setting of the whole process, which every other check
 # in it then sees; matched by the called name, however the module is imported
 PROCESS_SETTERS = {"setrecursionlimit", "set_int_max_str_digits", "stack_size"}
-# ROADMAP item 3 deletes this one and empties the list
+# the second half of ROADMAP item 1 deletes this one and empties the list
 PROCESS_SETTERS_ALLOWED = {("normalize.py", "_within_depth_limit")}
 
 

@@ -19,9 +19,12 @@ from pielang import (
     subst,
     type_check,
 )
+from pielang.cli import check_source
 from pielang.inductive import case_type, param_count, positive_check, upsilon
 
 NAT = Name("Nat")
+NAT_SOURCE = "Inductive Nat : Set := | Zero : Nat | Succ : Nat -> Nat;\n"
+EQ_SOURCE = NAT_SOURCE + "Inductive Eq : Nat -> Nat -> (Type 1) := | Eq_Rfl : Πn:Nat.(Eq n n);\n"
 
 
 def _nat_ind():
@@ -67,6 +70,28 @@ class TestPositivity:
     def test_negative_occurrence_is_a_warning(self):
         warnings = positive_check(parse_term("(Nat -> Nat) -> Nat"), NAT, 0)
         assert [w.severity for w in warnings] == ["warning"]
+
+    def test_the_inductive_must_not_occur_in_a_target_argument(self):
+        assert check_source("Inductive T : Set -> Set := | c : Πx:Set.(T (T x));").lines() == [
+            "error[T-Ind] <input>:1:11: T occurs in an argument of the constructor target"]
+
+    def test_a_binder_named_like_the_inductive_hides_it(self):
+        # the target is the bound B, not the inductive: accepting it gave a
+        # closed inhabitant of Empty, and a verdict that renaming B changed
+        source = ("Inductive Empty : Set := ;\nInductive B : Set := | mk : ΠB:Set.B;\n"
+                  "def boom() : Empty { (mk Empty) };")
+        assert check_source(source, prelude=False).lines()[0] == (
+            "error[T-Ind] <input>:2:11: constructor does not end in an application of B")
+        with pytest.raises(CheckError) as err:
+            positive_check(parse_term("ΠNat:Set.Nat"), NAT, 0)
+        assert err.value.diagnostic.message == "constructor does not end in an application of Nat"
+
+    @pytest.mark.parametrize("inner", ["Nat", "X"])
+    def test_no_negative_occurrence_under_a_binder_named_like_the_inductive(self, inner):
+        # under ΠNat, Nat is the bound one, so only the renamed binder leaves Nat negative
+        ctor = parse_term(f"(P Nat (Π{inner}:Set.(Nat -> M))) -> Nat")
+        warnings = positive_check(ctor, NAT, 0)
+        assert len(warnings) == (inner == "X")
 
 
 class TestConstructors:
@@ -163,3 +188,45 @@ class TestMatchChecking:
 
     def test_indexed_family_match_accepts(self):
         assert not elaborated("day.pie").diagnostics
+
+    @pytest.mark.parametrize("carrier, line", [
+        ("Zero", "carrier is not a type family over the inductive"),
+        ("λx:Nat.λy:Nat.Nat", "carrier does not return a universe"),
+        ("λx:Nat.Zero", "carrier does not return a universe"),
+        ("λx:Set.x", "carrier has the wrong type (expected Nat -> Set, got Πx:Set.Set)"),
+    ], ids=["not a family", "two binders", "no universe", "wrong type"])
+    def test_carrier_shape_and_type(self, carrier, line):
+        source = NAT_SOURCE + (f"def f(n : Nat) : Nat {{ <{carrier}> match n with "
+                               "{ Zero => Zero; Succ => λm:Nat.m } };")
+        assert check_source(source).lines() == [f"error[T-Match] <input>:2:24: {line}"]
+
+    def test_a_carrier_of_the_wrong_type_over_an_indexed_family(self):
+        source = EQ_SOURCE + (
+            "def f(a : Nat, b : Nat, e : (Eq a b)) : Set "
+            "{ <λx:Nat.λy:Nat.λq:(Eq y x).Set> match e with { Eq_Rfl => λn:Nat.Nat } };"
+        )
+        assert check_source(source).lines() == [
+            "error[T-Match] <input>:3:47: carrier has the wrong type (expected "
+            "Πx'3:Nat.Πx'2:Nat.(Eq x'3 x'2) -> (Type 1), got Πx:Nat.Πy:Nat.Πq:(Eq y x).(Type 1))"
+        ]
+
+    def test_the_expected_carrier_is_reported_in_normal_form(self):
+        # the arity names the def N; the report shows what it unfolds to
+        source = NAT_SOURCE + (
+            "def N() : Set { Nat };\nInductive I : N -> Set := | c : (I Zero);\n"
+            "def f(i : (I Zero)) : Nat { <λx:Nat.λy:Set.Set> match i with { c => Zero } };"
+        )
+        assert check_source(source).lines() == [
+            "error[T-Match] <input>:4:29: carrier has the wrong type "
+            "(expected Πx'2:Nat.(I x'2) -> (Type 1), got Πx:Nat.Πy:Set.(Type 1))"
+        ]
+
+    def test_scrutinee_type_must_apply_the_inductive_fully(self):
+        # no source program reaches this: (Eq Zero) is not a type, so no
+        # declaration can give a term that type; a hand-built context can
+        ctxt = elaborated("eq_nat.pie").context.extend_type(Name("e"), parse_term("(Eq Zero)"))
+        match = parse_term("<λx:Nat.λy:Nat.λq:(Eq x y).Set> match e with { Eq_Rfl => λn:Nat.Nat }")
+        with pytest.raises(CheckError) as err:
+            type_check(ctxt, match)
+        assert err.value.diagnostic.render() == (
+            "error[T-Match] <input>:1:1: scrutinee type does not fully apply the inductive")

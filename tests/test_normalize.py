@@ -76,6 +76,16 @@ class TestReduction:
         ctxt, t = norm_in("add.pie", "two")
         assert alpha_eq(t, normalise(parse_term("(Succ (Succ Zero))"), ctxt))
 
+    @pytest.mark.parametrize("kind", ["Universe", "Ind", "Constr", "Fix"])
+    def test_a_term_evaluation_never_enters_is_its_own_normal_form(self, kind):
+        # with no shortcut for it: evaluation and read-back draw no step
+        ctxt = elaborated("add.pie").context
+        nat = ctxt.lookup_val(Name("Nat"))
+        t = {"Universe": Universe(2), "Ind": nat, "Constr": Constr(2, nat),
+             "Fix": ctxt.lookup_val(Name("add"))}[kind]
+        assert type(t).__name__ == kind
+        assert normalise(t, ctxt, budget=0) is t
+
 
 class TestRecursion:
     def test_add_zero_left(self):

@@ -208,6 +208,15 @@ class TestDeclarations:
     def test_name_location(self, source, line):
         assert check_source(source, "x.pie").lines() == [line]
 
+    @pytest.mark.parametrize("source, line", [
+        ("def f(x : Set, x : Set) : Set { x };",
+         "error[Parse] x.pie:1:16: duplicate parameter x"),
+        ("Inductive T : Set := | c : T | c : T;",
+         "error[Parse] x.pie:1:32: duplicate constructor c"),
+    ], ids=["parameter", "constructor"])
+    def test_a_duplicate_name_is_refused_where_it_recurs(self, source, line):
+        assert check_source(source, "x.pie").lines() == [line]
+
     def test_empty_file(self):
         assert parse_program("", prelude=False).decls == []
 

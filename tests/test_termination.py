@@ -171,6 +171,14 @@ class TestCheckFix:
             check_fix(ctxt, fix)
         assert err.value.diagnostic.rule == "Guard"
 
+    def test_a_leading_lambda_that_rebinds_the_self_name_hides_it(self):
+        # (f n) calls the argument f, not the fixpoint, so no guard applies to it
+        ctxt = elaborated("nat.pie").context
+        sig = parse_term("Πf:(Nat -> Nat).Πn:Nat.Nat")
+        body = parse_term("λf:(Nat -> Nat).λn:Nat.(f n)")
+        assert infer_fix_index(F, body) == 0
+        assert check_fix(ctxt, Fix(F, 1, sig, body)) == sig
+
     def test_body_must_match_the_signature(self):
         ctxt = elaborated("nat.pie").context
         nat = parse_term("Nat")

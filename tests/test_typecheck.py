@@ -1,6 +1,7 @@
 """Core typing rules and top-level elaboration."""
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sys
 
@@ -32,8 +33,8 @@ from pielang import (
     subst,
     type_check,
 )
-from pielang import termination, typecheck
-from pielang.cli import check_source
+from pielang import inductive, termination, typecheck
+from pielang.cli import check_source, load_corpus
 from pielang.syntax import telescope
 from pielang.typecheck import ensure_equal
 from strategies import terms
@@ -202,6 +203,15 @@ def _inferred_and_compared(ctxt, e, t, rule, message, span=None):
     ensure_equal(ctxt, type_check(ctxt, e), t, rule, message, span)
 
 
+@contextlib.contextmanager
+def _inferring():
+    """Every caller of `check` calls the reference instead."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (typecheck, termination, inductive):
+            patch.setattr(module, "check", _inferred_and_compared)
+        yield
+
+
 def _checked(source: str, budget):
     result = elaborate(parse_program(source, "d.pie"), Context(budget=budget))
     return result.entries, [(d.rule, d.message, d.span, d.render("d.pie"))
@@ -220,10 +230,17 @@ class TestCheck:
     def test_checking_reports_as_inferring_and_comparing(self, case):
         source, budget = case
         checked = _checked(source, budget)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(typecheck, "check", _inferred_and_compared)
-            patch.setattr(termination, "check", _inferred_and_compared)
+        with _inferring():
             assert checked == _checked(source, budget)
+
+    # match branches go through check too, and only the corpus has matches
+    @pytest.mark.parametrize("path", [path for path, tag in load_corpus() if tag != "Parse"],
+                             ids=lambda p: p.name)
+    def test_the_corpus_reports_as_inferring_and_comparing(self, path):
+        source = path.read_text(encoding="utf-8")
+        checked = [_checked(source, budget) for budget in (None, 5, 0)]
+        with _inferring():
+            assert checked == [_checked(source, budget) for budget in (None, 5, 0)]
 
     # with the recursive depth limit, a 5000-binder Π type cannot be read back
     # for a report, so there the report is the refusal the inferred type gave
@@ -371,6 +388,8 @@ class TestAlphaInvariance:
     @given(t=terms)
     @example(t=parse_term("λa:a.a"))
     @example(t=parse_term("λA:Set.λA:A.A"))
+    # a constructor binder named like its inductive hides it
+    @example(t=Ind(Name("b"), Universe(0), ((Name("C1"), parse_term("Πb:Set.b")),)))
     @settings(max_examples=500, deadline=None)
     def test_renaming_binders_apart_keeps_the_verdict(self, ctxt, t):
         rule, type_ = _verdict(ctxt, t)
