@@ -1,20 +1,28 @@
-"""Golden output: `pie check` reports on the bundled corpus stay byte-identical.
+"""Golden output: `pie check` reports stay byte-identical.
 
-The golden file holds, for every bundled program, the report lines with
-`--dump-types`, and for every top-level def of the accepted programs the
-report lines with `--normalize NAME`. Regenerate it only for an intended
-change of output:
+`golden/corpus_reports.txt` holds, for every bundled program, the report
+lines with `--dump-types`, and for every top-level def of the accepted
+programs the report lines with `--normalize NAME`. `golden/report_digests.txt`
+holds one digest per benchmark input of each workload at seeds 1 and 2, over
+its `--dump-types` lines and its exit code. Regenerate both only for an
+intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 from __future__ import annotations
 
+import hashlib
+import sys
 from pathlib import Path
 
 from pielang.cli import POSITIVE_CORPUS, check_source, load_corpus
 from pielang.parser import DefDecl, parse_program
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402
+
 GOLDEN = Path(__file__).with_name("golden") / "corpus_reports.txt"
+REPORT_DIGESTS = Path(__file__).with_name("golden") / "report_digests.txt"
 
 
 def render_golden() -> str:
@@ -33,6 +41,18 @@ def render_golden() -> str:
     return "\n".join(out) + "\n"
 
 
+def render_report_digests() -> str:
+    out = []
+    for name, generate in workloads.WORKLOADS.items():
+        for seed in (1, 2):
+            for case in generate(seed):
+                report = check_source(case.source, case.name)
+                both = report.lines(dump_types=True), report.exit_code
+                out.append(f"{name}/{seed}/{case.name} "
+                           f"{hashlib.sha256(repr(both).encode()).hexdigest()[:16]}")
+    return "\n".join(out) + "\n"
+
+
 def test_corpus_reports_match_the_golden_file():
     expected = GOLDEN.read_text(encoding="utf-8").splitlines()
     actual = render_golden().splitlines()
@@ -41,6 +61,15 @@ def test_corpus_reports_match_the_golden_file():
         assert got == want
 
 
+def test_benchmark_inputs_report_the_pinned_digests():
+    expected = REPORT_DIGESTS.read_text(encoding="utf-8").splitlines()
+    actual = render_report_digests().splitlines()
+    assert len(actual) == len(expected)
+    for want, got in zip(expected, actual):
+        assert got == want
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(render_golden(), encoding="utf-8")
+    REPORT_DIGESTS.write_text(render_report_digests(), encoding="utf-8")
