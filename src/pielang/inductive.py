@@ -113,8 +113,10 @@ def check_constr(ctxt: Context, c: Constr) -> Term:
 
 def case_type(ctor_type: Term, carrier: Term, ctor_term: Term) -> Term:
     """Expected type of a branch: rebind the constructor's arguments, then
-    apply the carrier to the target's indices and the constructed value."""
-    binders, target = telescope(ctor_type)
+    apply the carrier to the target's indices and the constructed value.
+    The arguments are named apart from each other and from the carrier's
+    free names, which they would otherwise capture."""
+    binders, target = _apart(ctor_type, free_vars(carrier))
     value = apply_spine(ctor_term, [Var(x) for x, _ in binders])
     result: Term = App(apply_spine(carrier, spine(target)[1]), value)
     for x, domain in reversed(binders):
@@ -169,12 +171,27 @@ def _carrier_level(carrier_type: Term, params: int, m: Match) -> int:
 
 
 def _expected_carrier_type(ind: Ind, level: int) -> Term:
-    binders, _ = telescope(ind.arity)
+    binders, _ = _apart(ind.arity)
     target = apply_spine(ind, [Var(b) for b, _ in binders])
     result: Term = Pi(fresh_name(Name("m"), free_vars(target)), target, Universe(level))
     for b, dom in reversed(binders):
         result = Pi(b, dom, result)
     return result
+
+
+def _apart(t: Term, avoid=frozenset()) -> tuple[list[tuple[Name, Term]], Term]:
+    """telescope(t), with each binder renamed apart from avoid and from the
+    binders before it, so that a term applied to all of them captures nothing."""
+    binders, taken = [], set(avoid)
+    while type(t) is Pi:
+        x, body = t.binder, t.body
+        if x in taken:
+            renamed = fresh_name(x, taken, free_vars(body))
+            x, body = renamed, subst(x, Var(renamed), body)
+        taken.add(x)
+        binders.append((x, t.domain))
+        t = body
+    return binders, t
 
 
 def _occurs_left_of_arrow(name: Name, t: Term) -> bool:

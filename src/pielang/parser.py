@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .diagnostics import fail
-from .syntax import App, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var, _sealed
+from .syntax import App, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var, _sealed, token_span
 
 
 @_sealed
@@ -82,9 +82,7 @@ class Token(NamedTuple):
     col: int  # of the first character, 1-based
     end: int  # column of the last character
 
-    @property
-    def span(self) -> SourceSpan:  # by index, so that it reads the parser's plain tuples too
-        return tuple.__new__(SourceSpan, (self[2], self[3], self[2], self[4]))  # skips its __new__
+    span = property(token_span)  # by index, so that it reads the parser's plain tuples too
 
 
 # Every character but whitespace starts a token, so the positions a token
@@ -144,7 +142,6 @@ def tokenize(source: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
-_span = Token.span.fget  # the span of a plain token tuple
 # after a declaration's keyword and name: fixed tokens, expressions (None) and pairs
 _FORMS = {"Axiom": (AxiomDecl, (":", None)),
           "def": (DefDecl, ("(", "parameter", ")", ":", None, "{", None, "}")),
@@ -172,7 +169,7 @@ class _Parser:
     def expect(self, kind: str) -> tuple:
         tok = self.tok
         if tok[0] != kind:
-            fail("Parse", f"expected '{kind}', found '{tok[1] or tok[0]}'", _span(tok))
+            fail("Parse", f"expected '{kind}', found '{tok[1] or tok[0]}'", token_span(tok))
         self.tok = next(self.rest, tok)  # eof, the last token, repeats
         return tok
 
@@ -181,22 +178,22 @@ class _Parser:
         tok = self.tok if self.tok[0] == "name" else self.expect("name")  # which fails
         self.tok = next(self.rest, tok)
         if (name := self.names[tok[1]]) in seen:
-            fail("Parse", f"duplicate {what} {name}", _span(tok))
-        return name, _span(tok)
+            fail("Parse", f"duplicate {what} {name}", token_span(tok))
+        return name, token_span(tok)
 
     def program(self, source_name: str) -> Program:
         decls: list[Decl] = []
         while self.tok[0] != "eof":
             decls.append(self.decl())
             if self.tok[0] not in (";", "eof"):
-                fail("Parse", "expected ';' between declarations", _span(self.tok))
+                fail("Parse", "expected ';' between declarations", token_span(self.tok))
             self.tok = next(self.rest, self.tok)
         return Program(decls, source_name)
 
     def decl(self) -> Decl:
         """A declaration, read by its form in _FORMS, each fixed token in place."""
         if (tok := self.tok)[0] not in _FORMS:
-            fail("Parse", f"expected a declaration, found '{tok[1] or tok[0]}'", _span(tok))
+            fail("Parse", f"expected a declaration, found '{tok[1] or tok[0]}'", token_span(tok))
         self.tok = next(self.rest, tok)
         record, form = _FORMS[tok[0]]
         name, span = self.name()
@@ -224,70 +221,87 @@ class _Parser:
         around the next token, innermost last, so nesting takes no Python frames.
         A frame starts with the token its open part follows: '(' (or a part after
         it), a binder's ':' or '.', '->', or a match's '<', 'match' or '=>'.
-        `term` is None while an expression is to be read, else the one just read."""
+        `term` is None while an expression is to be read, else the one just read.
+        The next token is kept in the local `ahead`, and the fixed tokens of a
+        binder and a closing ')' are read inline; `self.tok` is written back only
+        before another method reads it (`branch`, or `expect` to report an error)
+        and on return."""
         stack: list[tuple] = []
-        # spans are made inline, as _span makes them; new skips a named tuple's Python __new__
+        # a term keeps the token it starts at as its span; new skips a named tuple's Python __new__
         rest, names, new = self.rest, self.names, tuple.__new__
+        ahead = self.tok
         term = None
         while True:
             if term is None:
-                tok = self.tok
-                self.tok = next(rest, tok)
+                tok, ahead = ahead, next(rest, ahead)  # eof, the last token, repeats
                 kind = tok[0]
                 if kind == "name":
-                    term = Var(names[tok[1]], new(SourceSpan, (tok[2], tok[3], tok[2], tok[4])))
+                    term = Var(names[tok[1]], tok)
                 elif kind in ("(", "<"):
                     stack.append((kind, tok))
-                elif kind in _BINDERS:
-                    stack.append((":", tok, names[self.expect("name")[1]]))
-                    self.expect(":")
+                elif kind in _BINDERS:  # its name and ':'
+                    if ahead[0] != "name":
+                        self.tok = ahead
+                        self.expect("name")  # which fails
+                    stack.append((":", tok, names[ahead[1]]))
+                    if (ahead := next(rest, ahead))[0] != ":":
+                        self.tok = ahead
+                        self.expect(":")  # which fails
+                    ahead = next(rest, ahead)
                 elif kind in ("Set", "Prop"):
-                    term = Universe(0, _span(tok))
+                    term = Universe(0, tok)
                 elif kind == "Type":
                     level = 1
-                    if self.tok[0] == "number":
-                        number = self.expect("number")
+                    if ahead[0] == "number":
+                        number, ahead = ahead, next(rest, ahead)
                         # by default str() writes at most 4300 digits, and typing prints level + 1
                         if len(number[1]) >= 4300:
-                            fail("Parse", "universe level has too many digits", _span(number))
+                            fail("Parse", "universe level has too many digits", token_span(number))
                         level = int(number[1])
-                    term = Universe(level, _span(tok))
+                    term = Universe(level, tok)
                 else:
-                    fail("Parse", f"expected an expression, found '{tok[1] or kind}'", _span(tok))
-            elif self.tok[0] == "->":  # only an atom can end just before '->'
-                stack.append(("->", self.expect("->"), term))
+                    fail("Parse", f"expected an expression, found '{tok[1] or kind}'", token_span(tok))
+            elif ahead[0] == "->":  # only an atom can end just before '->'
+                stack.append(("->", ahead, term))
+                ahead = next(rest, ahead)
                 term = None
             elif not stack:
+                self.tok = ahead
                 return term
             else:
                 frame = stack.pop()
                 kind, tok = frame[0], frame[1]
                 if kind == "(":
                     if len(frame) == 3:  # the parts before this one, applied
-                        span = new(SourceSpan, (tok[2], tok[3], tok[2], tok[4]))
-                        term = App(frame[2], term, span)
-                    if self.tok[0] == ")":
-                        self.expect(")")
+                        term = App(frame[2], term, tok)
+                    if ahead[0] == ")":
+                        ahead = next(rest, ahead)
                     else:
                         stack.append((kind, tok, term))
                         term = None
                 elif kind == "->":  # arrows are numbered in the order they close
                     self.arrows += 1
-                    term = Pi(new(Name, ("x", self.arrows)), frame[2], term,
-                              new(SourceSpan, (tok[2], tok[3], tok[2], tok[4])))
+                    term = Pi(new(Name, ("x", self.arrows)), frame[2], term, tok)
                 elif kind == ".":
-                    term = _BINDERS[tok[0]](frame[2], frame[3], term, _span(tok))
+                    term = _BINDERS[tok[0]](frame[2], frame[3], term, tok)
                 elif kind in _THEN:  # after a binder's domain, or a match's carrier or scrutinee
                     for expected in _THEN[kind]:
-                        self.expect(expected)
+                        if ahead[0] != expected:
+                            self.tok = ahead
+                            self.expect(expected)  # which fails
+                        ahead = next(rest, ahead)
                     if kind == "match":
+                        self.tok = ahead
                         term = self.branch(stack, tok, frame[2], term, {})
+                        ahead = self.tok
                     else:
                         stack.append((_THEN[kind][-1], *frame[1:], term))
                         term = None
                 else:  # after one of a match's branches
                     frame[4][frame[5]] = term
+                    self.tok = ahead
                     term = self.branch(stack, *frame[1:5])
+                    ahead = self.tok
 
     def branch(self, stack: list[tuple], start: tuple, carrier: Term, scrutinee: Term,
                branches: dict[Name, Term]) -> Term | None:
@@ -302,7 +316,7 @@ class _Parser:
                 carrier = carrier.body
             for pi in reversed(leading):
                 carrier = Lam(pi.binder, pi.domain, carrier, pi.span)
-            return Match(carrier, scrutinee, tuple(branches.items()), _span(start))
+            return Match(carrier, scrutinee, tuple(branches.items()), start)
         if self.tok[0] == "(":
             self.expect("(")
             cname, cspan = self.name()

@@ -24,6 +24,12 @@ class SourceSpan(NamedTuple):
         return f"{self.start_line}:{self.start_col}"
 
 
+def token_span(tok: tuple) -> SourceSpan:
+    """The span of a token laid out as `parser.Token`, a plain tuple:
+    (kind, text, line, first column, last column)."""
+    return tuple.__new__(SourceSpan, (tok[2], tok[3], tok[2], tok[4]))  # skips its __new__
+
+
 class Name(NamedTuple):
     """A variable name; a named tuple, so hashing and comparing run in C.
     fresh_tag == 0 means the name came from source text, which cannot
@@ -66,7 +72,10 @@ def _sealed(cls):
     """cls as a frozen dataclass with slots whose __init__ writes each slot by its
     descriptor, not by object.__setattr__; a slot that is no field starts as None.
     Setting or deleting any name raises FrozenInstanceError; dataclass's own
-    methods raise TypeError for a non-field, as their super() names cls, not sealed."""
+    methods raise TypeError for a non-field, as their super() names cls, not sealed.
+    A term's span slot may hold the plain token tuple the parser read the term
+    from, which no collection tracks once it has seen it; reading `span` makes
+    the SourceSpan, so a span is built only for a term whose span is read."""
     sealed = dataclass(frozen=True, slots=True)(cls)
     sealed.__setattr__ = sealed.__delattr__ = _refuse
     if cls.__base__ is Term:  # a base of Term's layout, so Term.__subclasses__() lists sealed
@@ -78,6 +87,9 @@ def _sealed(cls):
     exec(f"def __init__(self, {', '.join(params)}):{writes}", setters)
     setters["__init__"].__defaults__ = sealed.__init__.__defaults__
     sealed.__init__ = setters["__init__"]
+    if issubclass(sealed, Term):
+        slot = sealed.span.__get__
+        sealed.span = property(lambda self: token_span(s) if type(s := slot(self)) is tuple else s)
     return sealed
 
 
@@ -423,7 +435,9 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 def pretty(t: Term) -> str:
     """t as text. A λ or Π body and a spine's last argument are printed by
-    the loop, not by a call, so a chain of them prints at any depth."""
+    the loop, not by a call, so a chain of them prints at any depth. A binder,
+    a variable domain and a variable leaf are written inline, with no call:
+    a name from source text is its text."""
     parts, closing = [], 0
     while True:
         kind = type(t)
@@ -432,20 +446,27 @@ def pretty(t: Term) -> str:
             parts.append(f"({' '.join(map(pretty, (head, *args[:-1])))} ")
             closing += 1
             t = t.arg
-        elif kind is Lam:
-            parts.append(f"λ{t.binder}:{_atom(t.domain)}.")
-            t = t.body
-        elif kind is Pi:
-            x = t.binder
-            if x.fresh_tag != 0 and x not in _chain_free_vars(t.body):
-                parts.append(f"{_atom(t.domain)} -> ")
+        elif kind is Lam or kind is Pi:
+            x, domain = t.binder, t.domain
+            if type(domain) is Var:
+                domain = domain.name
+                domain = domain.text if domain.fresh_tag == 0 else str(domain)
             else:
-                parts.append(f"Π{x}:{_atom(t.domain)}.")
+                domain = _atom(domain)
+            if x.fresh_tag == 0:
+                parts.append(f"{'λ' if kind is Lam else 'Π'}{x.text}:{domain}.")
+            elif kind is Pi and x not in _chain_free_vars(t.body):
+                parts.append(f"{domain} -> ")
+            else:
+                parts.append(f"{'λ' if kind is Lam else 'Π'}{x}:{domain}.")
             t = t.body
-        elif parts:
-            return "".join(parts) + _leaf(t) + ")" * closing
         else:
-            return _leaf(t)
+            if kind is Var:
+                leaf = t.name
+                leaf = leaf.text if leaf.fresh_tag == 0 else str(leaf)
+            else:
+                leaf = _leaf(t)
+            return "".join(parts) + leaf + ")" * closing if parts else leaf
 
 
 def _chain_free_vars(t: Term) -> frozenset[Name]:

@@ -33,7 +33,7 @@ from .syntax import (
 # Each frame on type_check's stack waits for the type t of one subterm:
 #   ("domain", Γ, e)       of the domain of e, a λ or Π, in Γ;
 #   ("λ", x, T)            of the body of λx:T;
-#   ("Π", Γ', u, span)     of the body of a Π whose domain has type u, a universe, in Γ';
+#   ("Π", Γ', u, e)        of the body of e, a Π whose domain has type u, a universe, in Γ';
 #   ("app", Γ, apps, tf, sigma, domain)
 #                          of a spine's head if tf is None, else of the argument of
 #                          apps[-1], whose domain is domain (tf's, under sigma).
@@ -84,19 +84,21 @@ def type_check(ctxt: Context, e: Term) -> Term:
             tag = frame[0]
             if tag == "domain":  # t types a binder's domain: Γ ⊢ domain : Type i
                 _, ctxt, e = frame
-                t = _universe(ctxt, t, *_BINDER_RULES[type(e)], e.span)
+                if type(t) is not Universe:  # so a span is read only to be reported
+                    t = _universe(ctxt, t, *_BINDER_RULES[type(e)], e.span)
                 ctxt, x, body = enter(ctxt, e.binder, e.domain, e.body)
                 if type(e) is Lam:
                     stack.append(("λ", x, e.domain))
                 else:
-                    stack.append(("Π", ctxt, t, e.span))
+                    stack.append(("Π", ctxt, t, e))
                 e = body
                 break
             if tag == "λ":  # T-Abs: Γ, x : T ⊢ body : t
                 t = Pi(frame[1], frame[2], t)
             elif tag == "Π":  # T-PI: Γ, x : T ⊢ body : Type j
-                _, inner, u, span = frame
-                t = _universe(inner, t, "T-PI", "Pi codomain is not a type", span)
+                _, inner, u, pi = frame
+                if type(t) is not Universe:
+                    t = _universe(inner, t, "T-PI", "Pi codomain is not a type", pi.span)
                 if u.level > t.level:  # the larger universe, of the two already built
                     t = u
             else:  # T-App for a whole spine (f a1 ... an), in one pass

@@ -221,6 +221,45 @@ class TestMatchChecking:
             "(expected Πx'2:Nat.(I x'2) -> (Type 1), got Πx:Nat.Πy:Set.(Type 1))"
         ]
 
+    # Match typing names a constructor's or an arity's binders apart before it
+    # applies a term to them, so none captures another or a carrier's free name.
+    # Each of (l) and (m) was accepted and proved a false equation.
+    CAPTURE_NAT = ("Inductive Nat : Set := | Zero : Nat | Succ : Πk:Nat.Nat;\n"
+                   "Inductive Eq : Nat -> Nat -> Set := | Rfl : Πn:Nat.(Eq n n);\n")
+
+    def test_a_constructor_binder_does_not_capture_a_carrier_name(self):  # (l)
+        source = self.CAPTURE_NAT + (
+            "def F(k : Nat, x : Nat) : Nat { <λy:Nat.Nat> match x with "
+            "{ Zero => (Succ k); Succ => λj:Nat.(Succ j) } };\n"
+            "def bad(k : Nat, n : Nat) : (Eq (Succ k) (F k n)) { <λx:Nat.(Eq (Succ k) (F k x))> "
+            "match n with { Zero => (Rfl (Succ k)); Succ => λm:Nat.(Rfl (Succ m)) } };\n"
+            "def wrong() : (Eq (Succ Zero) (Succ (Succ Zero))) { (bad Zero (Succ (Succ Zero))) };")
+        assert check_source(source, prelude=False).lines() == [
+            "error[T-Match] <input>:4:53: branch Succ has the wrong type (expected "
+            "Πk'1:Nat.(Eq (Succ k) (Succ k'1)), got Πm:Nat.(Eq (Succ m) (Succ m)))",
+            "error[T-Var] <input>:5:54: unbound variable bad",
+        ]
+
+    def test_constructor_binders_that_share_a_name_stay_apart(self):  # (m)
+        source = self.CAPTURE_NAT + (
+            "Inductive P : Set := | mk : Πx:Nat.Πx:Nat.P;\n"
+            "def fst(p : P) : Nat { <λq:P.Nat> match p with { mk => λa:Nat.λb:Nat.a } };\n"
+            "def snd(p : P) : Nat { <λq:P.Nat> match p with { mk => λa:Nat.λb:Nat.b } };\n"
+            "def same(p : P) : (Eq (fst p) (snd p)) { <λq:P.(Eq (fst q) (snd q))> "
+            "match p with { mk => λx:Nat.λx:Nat.(Rfl x) } };\n"
+            "def wrong() : (Eq Zero (Succ Zero)) { (same (mk Zero (Succ Zero))) };")
+        assert [(d.rule, d.span.start_line) for d in check_source(source, prelude=False).diagnostics
+                if d.severity == "error"] == [("T-Match", 6), ("T-Var", 7)]
+
+    def test_arity_binders_that_share_a_name_stay_apart(self):  # (n)
+        source = (
+            "Inductive Eq : ΠA:Set.Πx:A.Πx:A.Set := | Rfl : ΠA:Set.Πx:A.(Eq A x x);\n"
+            "def sym(A : Set, a : A, b : A, p : (Eq A a b)) : (Eq A b a) "
+            "{ <λB:Set.λc:B.λd:B.λq:(Eq B c d).(Eq B d c)> match p with "
+            "{ Rfl => λB:Set.λc:B.(Rfl B c) } };")
+        report = check_source(source, prelude=False)
+        assert report.exit_code == 0, report.lines()
+
     def test_scrutinee_type_must_apply_the_inductive_fully(self):
         # no source program reaches this: (Eq Zero) is not a type, so no
         # declaration can give a term that type; a hand-built context can

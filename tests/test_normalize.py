@@ -144,7 +144,8 @@ class TestRecursion:
         assert check_equal(deep, numeral(ctxt, 2 * _DEPTH_LIMIT), ctxt, budget=0)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the depth limit is the process's recursion limit (ROADMAP item 3)")
+                       reason="the depth limit is the process's recursion limit; it goes with "
+                              "the flat kernel (ROADMAP item 1, second half)")
     def test_overlapping_normalisations_keep_the_depth_limit(self, monkeypatch):
         """A enters, B enters, A leaves, B leaves: B must still run under the
         depth limit, and the recursion limit must end where it started."""
