@@ -136,8 +136,7 @@ def check_match(ctxt: Context, m: Match) -> Term:
     carrier_type = normalise(type_check(ctxt, m.carrier), ctxt)
     level = _carrier_level(carrier_type, params, m)
     expected_carrier = _expected_carrier_type(head, level)
-    ensure_equal(ctxt, carrier_type, expected_carrier, "T-Match", "carrier has the wrong type",
-                 m.span)
+    ensure_equal(ctxt, carrier_type, expected_carrier, "T-Match", "carrier has the wrong type", m)
 
     ctors = head.constructors
     if len(m.branches) != len(ctors):
@@ -156,7 +155,7 @@ def check_match(ctxt: Context, m: Match) -> Term:
             )
         closed = subst(head.name, head, ctype)
         expected = case_type(closed, m.carrier, Constr(i, head))
-        check(ctxt, body, expected, "T-Match", f"branch {bname} has the wrong type", m.span)
+        check(ctxt, body, expected, "T-Match", f"branch {bname} has the wrong type", m)
     return normalise(App(apply_spine(m.carrier, args), m.scrutinee), ctxt)
 
 

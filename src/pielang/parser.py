@@ -260,7 +260,8 @@ class _Parser:
                         level = int(number[1])
                     term = Universe(level, tok)
                 else:
-                    fail("Parse", f"expected an expression, found '{tok[1] or kind}'", token_span(tok))
+                    fail("Parse", f"expected an expression, found '{tok[1] or kind}'",
+                         token_span(tok))
             elif ahead[0] == "->":  # only an atom can end just before '->'
                 stack.append(("->", ahead, term))
                 ahead = next(rest, ahead)

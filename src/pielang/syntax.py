@@ -89,7 +89,11 @@ def _sealed(cls):
     sealed.__init__ = setters["__init__"]
     if issubclass(sealed, Term):
         slot = sealed.span.__get__
-        sealed.span = property(lambda self: token_span(s) if type(s := slot(self)) is tuple else s)
+
+        def span(self) -> SourceSpan | None:
+            kept = slot(self)
+            return token_span(kept) if type(kept) is tuple else kept
+        sealed.span = property(span)
     return sealed
 
 

@@ -60,10 +60,10 @@ def _guard_fix(f: Name, k: int, body: Term) -> None:
 
 
 def check_fix(ctxt: Context, fix: Fix) -> Term:
-    ensure_universe(ctxt, fix.signature, "T-Fix", "fixpoint signature is not a type", fix.span)
+    ensure_universe(ctxt, fix.signature, "T-Fix", "fixpoint signature is not a type", fix)
     inner, f, body = enter(ctxt, fix.name, fix.signature, fix.body)
     check(inner, body, fix.signature, "T-Fix",
-          f"fixpoint body of {fix.name} does not have the declared type", fix.span)
+          f"fixpoint body of {fix.name} does not have the declared type", fix)
     binders, _ = telescope(body, Lam)
     if not 0 <= fix.dec_index < len(binders):
         fail(

@@ -1,6 +1,9 @@
 """Typing rules for the core calculus and top-level elaboration. Every
 binder enters the context through `enter`, every failed conversion is
-reported by `ensure_equal`, and `elaborate` makes a recursive def a fixpoint."""
+reported by `ensure_equal`, and `elaborate` makes a recursive def a fixpoint.
+A rule names the term or declaration its report points at, `at`, and reads
+its span only to report a failure, so a term whose typing succeeds never has
+its span built."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -84,8 +87,7 @@ def type_check(ctxt: Context, e: Term) -> Term:
             tag = frame[0]
             if tag == "domain":  # t types a binder's domain: Γ ⊢ domain : Type i
                 _, ctxt, e = frame
-                if type(t) is not Universe:  # so a span is read only to be reported
-                    t = _universe(ctxt, t, *_BINDER_RULES[type(e)], e.span)
+                t = _universe(ctxt, t, *_BINDER_RULES[type(e)], e)
                 ctxt, x, body = enter(ctxt, e.binder, e.domain, e.body)
                 if type(e) is Lam:
                     stack.append(("λ", x, e.domain))
@@ -97,15 +99,14 @@ def type_check(ctxt: Context, e: Term) -> Term:
                 t = Pi(frame[1], frame[2], t)
             elif tag == "Π":  # T-PI: Γ, x : T ⊢ body : Type j
                 _, inner, u, pi = frame
-                if type(t) is not Universe:
-                    t = _universe(inner, t, "T-PI", "Pi codomain is not a type", pi.span)
+                t = _universe(inner, t, "T-PI", "Pi codomain is not a type", pi)
                 if u.level > t.level:  # the larger universe, of the two already built
                     t = u
             else:  # T-App for a whole spine (f a1 ... an), in one pass
                 _, ctxt, apps, tf, sigma, domain = frame
                 if tf is not None:  # t types the argument of apps[-1]
                     app = apps.pop()
-                    ensure_equal(ctxt, t, domain, "T-App", "argument type mismatch", app.span)
+                    ensure_equal(ctxt, t, domain, "T-App", "argument type mismatch", app)
                     sigma[tf.binder] = app.arg
                     t = tf.body
                 if not apps:  # sigma maps the binders passed so far to their arguments
@@ -122,23 +123,23 @@ def type_check(ctxt: Context, e: Term) -> Term:
             return t
 
 
-def ensure_universe(ctxt: Context, t: Term, rule: str, message: str, span=None) -> int:
+def ensure_universe(ctxt: Context, t: Term, rule: str, message: str, at=None) -> int:
     """Check that t is typed by a universe; return its level."""
-    return _universe(ctxt, type_check(ctxt, t), rule, message, span).level
+    return _universe(ctxt, type_check(ctxt, t), rule, message, at).level
 
 
-def _universe(ctxt: Context, t: Term, rule: str, message: str, span=None) -> Universe:
+def _universe(ctxt: Context, t: Term, rule: str, message: str, at=None) -> Universe:
     """t, a type in ctxt, if it is a universe; else its normal form, which
     must be one. Only a type that is not already a universe is normalised."""
     if type(t) is not Universe:
         t = normalise(t, ctxt)
         if type(t) is not Universe:
-            fail(rule, message, span, actual=t)
+            fail(rule, message, getattr(at, "span", None), actual=t)
     return t
 
 
 def ensure_equal(ctxt: Context, actual: Term, expected: Term, rule: str, message: str,
-                 span=None) -> None:
+                 at=None) -> None:
     """Check that actual converts to expected, or fail with both normalised:
     their normal forms are read back from the values the failed conversion
     built, not evaluated again. A term is equal to itself with no look at it."""
@@ -146,10 +147,10 @@ def ensure_equal(ctxt: Context, actual: Term, expected: Term, rule: str, message
         return
     forms = mismatch(actual, expected, ctxt)
     if forms is not None:
-        fail(rule, message, span, expected=forms[1], actual=forms[0])
+        fail(rule, message, getattr(at, "span", None), expected=forms[1], actual=forms[0])
 
 
-def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, span=None) -> None:
+def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, at=None) -> None:
     """Check e against t, a type in ctxt. While e is a λ and t a Π that bind
     the same name over alpha-equal domains, both enter one context as one
     binder, whose domain needs no typing, since t's is a type in the same
@@ -162,7 +163,7 @@ def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, span=None) -
            and alpha_eq(body.domain, rest.domain)):
         inner, _, body, rest = enter(inner, body.binder, body.domain, body.body, rest.body)
     if inner is ctxt or not check_equal(type_check(inner, body), rest, inner):
-        ensure_equal(ctxt, type_check(ctxt, e), t, rule, message, span)
+        ensure_equal(ctxt, type_check(ctxt, e), t, rule, message, at)
 
 
 def enter(ctxt: Context, x: Name, t: Term, *scope: Term) -> tuple:
@@ -208,7 +209,7 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
             match decl:
                 case AxiomDecl(name=name, type=t, span=span):
                     claim(name, span)
-                    ensure_universe(ctxt, t, "T-Univ", "axiom type must live in a universe", span)
+                    ensure_universe(ctxt, t, "T-Univ", "axiom type must live in a universe", decl)
                     ctxt = ctxt.declare(name, t)
                     result.entries.append((name, t, "ok"))
                 case DefDecl(name=name, span=span):
@@ -218,10 +219,10 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                         k = termination.infer_fix_index(name, value)
                         value = Fix(name, k, declared, value, span=span)
                     ensure_universe(
-                        ctxt, declared, "T-PI", "declared type must live in a universe", span
+                        ctxt, declared, "T-PI", "declared type must live in a universe", decl
                     )
                     check(ctxt, value, declared, "T-App",
-                          f"definition {name} does not have its declared type", span)
+                          f"definition {name} does not have its declared type", decl)
                     ctxt = ctxt.declare(name, declared, value)
                     result.entries.append((name, declared, "ok"))
                 case InductiveDeclSrc(name=name, span=span):

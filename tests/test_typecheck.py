@@ -198,9 +198,9 @@ def checked_defs(draw):
     return CHECKED + f"def d() : {type_} {{ {value} }};", draw(st.sampled_from((None, 3, 0)))
 
 
-def _inferred_and_compared(ctxt, e, t, rule, message, span=None):
+def _inferred_and_compared(ctxt, e, t, rule, message, at=None):
     """What `check` replaces: T-Abs infers a whole Π type, compared with t."""
-    ensure_equal(ctxt, type_check(ctxt, e), t, rule, message, span)
+    ensure_equal(ctxt, type_check(ctxt, e), t, rule, message, at)
 
 
 @contextlib.contextmanager
