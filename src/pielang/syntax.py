@@ -457,11 +457,10 @@ def pretty(t: Term) -> str:
                 domain = domain.text if domain.fresh_tag == 0 else str(domain)
             else:
                 domain = _atom(domain)
-            if x.fresh_tag == 0:
-                parts.append(f"{'λ' if kind is Lam else 'Π'}{x.text}:{domain}.")
-            elif kind is Pi and x not in _chain_free_vars(t.body):
+            if kind is Pi and x.fresh_tag != 0 and x not in _chain_free_vars(t.body):
                 parts.append(f"{domain} -> ")
             else:
+                x = x.text if x.fresh_tag == 0 else str(x)
                 parts.append(f"{'λ' if kind is Lam else 'Π'}{x}:{domain}.")
             t = t.body
         else:
