@@ -486,7 +486,7 @@ def _chain_free_vars(t: Term) -> frozenset[Name]:
 
 def _leaf(t: Term) -> str:
     match t:
-        case Var(name=n) | Ind(name=n):
+        case Ind(name=n):  # pretty writes a variable itself
             return str(n)
         case Universe(level=0):
             return "Set"
