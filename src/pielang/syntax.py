@@ -285,7 +285,8 @@ def free_vars(t: Term) -> frozenset[Name]:
 def occurs_free(x: Name, t: Term) -> bool:
     """Whether x is free in t, as `x in free_vars(t)` says, but in one loop
     that stops at the first occurrence, reads free_vars' memo where a node
-    has one and fills none; a binder of x hides its scope."""
+    has one and fills none; a binder of x hides its scope. A variable, an
+    application, a λ and a Π are read inline; other nodes by the binding table."""
     work = [t]
     while work:
         t = work.pop()
@@ -297,6 +298,13 @@ def occurs_free(x: Name, t: Term) -> bool:
         if kind is Var:
             if t.name == x:
                 return True
+        elif kind is App:
+            work.append(t.fn)
+            work.append(t.arg)
+        elif kind is Lam or kind is Pi:
+            work.append(t.domain)
+            if t.binder != x:
+                work.append(t.body)
         elif kind is not Universe:
             roles, values = _SHAPES[kind]
             hidden = False
@@ -475,13 +483,14 @@ def pretty(t: Term) -> str:
 def _chain_free_vars(t: Term) -> frozenset[Name]:
     """free_vars(t), computed from the bottom of t's chain of λ/Π bodies and
     last arguments up, so that no call recurses down that chain."""
-    chain = [t]
+    chain = []
     while type(t) in (Lam, Pi, App) and t._free_vars is None:
-        t = t.arg if type(t) is App else t.body
         chain.append(t)
+        t = t.arg if type(t) is App else t.body
+    fv = free_vars(t)
     for u in reversed(chain):
-        free_vars(u)
-    return free_vars(chain[0])
+        fv = free_vars(u)
+    return fv
 
 
 def _leaf(t: Term) -> str:

@@ -24,6 +24,7 @@ from .syntax import (
     Term,
     Universe,
     Var,
+    _chain_free_vars,
     _subst_all,
     alpha_eq,
     free_vars,
@@ -107,16 +108,21 @@ def type_check(ctxt: Context, e: Term) -> Term:
                 if tf is not None:  # t types the argument of apps[-1]
                     app = apps.pop()
                     ensure_equal(ctxt, t, domain, "T-App", "argument type mismatch", app)
-                    sigma[tf.binder] = app.arg
+                    # only a binder its scope names is substituted; free names
+                    # are read up the Π chain, so no call recurses down it
+                    if tf.binder in _chain_free_vars(tf.body):
+                        sigma[tf.binder] = app.arg
                     t = tf.body
-                if not apps:  # sigma maps the binders passed so far to their arguments
-                    t = _subst_all(sigma, t)
+                if not apps:  # sigma maps the dependent binders passed so far to their arguments
+                    if sigma:
+                        t = _subst_all(sigma, t)
                     continue
                 if type(t) is not Pi:  # sigma is applied to the Π chain only here
-                    t, sigma = normalise(_subst_all(sigma, t), ctxt), {}
+                    t, sigma = normalise(_subst_all(sigma, t) if sigma else t, ctxt), {}
                     if type(t) is not Pi:
                         fail("T-App", "applying a non-function", apps[-1].span, actual=t)
-                stack.append(("app", ctxt, apps, t, sigma, _subst_all(sigma, t.domain)))
+                domain = _subst_all(sigma, t.domain) if sigma else t.domain
+                stack.append(("app", ctxt, apps, t, sigma, domain))
                 e = apps[-1].arg
                 break
         else:
@@ -164,6 +170,29 @@ def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, at=None) -> 
         inner, _, body, rest = enter(inner, body.binder, body.domain, body.body, rest.body)
     if inner is ctxt or not check_equal(type_check(inner, body), rest, inner):
         ensure_equal(ctxt, type_check(ctxt, e), t, rule, message, at)
+
+
+def check_def(ctxt: Context, e: Term, t: Term, message: str, at=None) -> None:
+    """Check a def's value e against its declared type t, and t as a type, in
+    one walk: while e is a λ and t a Π as in `check`, type the Π's domain, as
+    T-PI does, and enter the pair; then type the rest of t, infer the rest of
+    e and compare them. If the walk entered nothing (a recursive def's value
+    is a fixpoint), or anything fails or differs, t is typed whole and e
+    checked against it, so the report is the one those two calls give."""
+    inner, body, rest = ctxt, e, t
+    try:
+        while (type(body) is Lam and type(rest) is Pi and body.binder == rest.binder
+               and alpha_eq(body.domain, rest.domain)):
+            _universe(inner, type_check(inner, rest.domain), "T-PI", "Pi domain is not a type")
+            inner, _, body, rest = enter(inner, body.binder, body.domain, body.body, rest.body)
+        if inner is not ctxt:
+            _universe(inner, type_check(inner, rest), "T-PI", "Pi codomain is not a type")
+            if check_equal(type_check(inner, body), rest, inner):
+                return
+    except CheckError:
+        pass
+    ensure_universe(ctxt, t, "T-PI", "declared type must live in a universe", at)
+    check(ctxt, e, t, "T-App", message, at)
 
 
 def enter(ctxt: Context, x: Name, t: Term, *scope: Term) -> tuple:
@@ -218,11 +247,8 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                     if occurs_free(name, value):  # recursive; a failed guard is reported first
                         k = termination.infer_fix_index(name, value)
                         value = Fix(name, k, declared, value, span=span)
-                    ensure_universe(
-                        ctxt, declared, "T-PI", "declared type must live in a universe", decl
-                    )
-                    check(ctxt, value, declared, "T-App",
-                          f"definition {name} does not have its declared type", decl)
+                    check_def(ctxt, value, declared,
+                              f"definition {name} does not have its declared type", decl)
                     ctxt = ctxt.declare(name, declared, value)
                     result.entries.append((name, declared, "ok"))
                 case InductiveDeclSrc(name=name, span=span):

@@ -196,6 +196,18 @@ class TestDepth:
         report = check_source(nested(shape, 20000))
         assert report.exit_code == 0, report.lines()
 
+    # T-App asks whether each binder is named in its scope, and reads the
+    # free names up the function's Π chain to answer, not down it by recursion;
+    # with no binder named, it substitutes into no part of the chain
+    @pytest.mark.parametrize("args", [5000, 1], ids=["full", "partial"])
+    def test_a_long_application_spine_checks_at_the_default_recursion_limit(self, args):
+        assert sys.getrecursionlimit() == 1000
+        source = ("Axiom A : Set;\nAxiom a : A;\nAxiom f : " + " -> ".join(["A"] * 5001)
+                  + ";\ndef d() : " + " -> ".join(["A"] * (5001 - args))
+                  + " { (f" + " a" * args + ") };")
+        report = check_source(source)
+        assert report.exit_code == 0, report.lines()
+
     # a rule that fails deep in a chain gives the rule, message and span that
     # the recursive checker gave with a raised limit: the '->' after the one `a`,
     # and the '(' of the application at the bottom of the λ chain

@@ -30,13 +30,14 @@ from pielang import (
     elaborate,
     parse_program,
     parse_term,
+    pretty,
     subst,
     type_check,
 )
 from pielang import inductive, termination, typecheck
 from pielang.cli import check_source, load_corpus
 from pielang.syntax import telescope
-from pielang.typecheck import ensure_equal
+from pielang.typecheck import ensure_equal, ensure_universe
 from strategies import terms
 
 EMPTY = Context()
@@ -203,12 +204,20 @@ def _inferred_and_compared(ctxt, e, t, rule, message, at=None):
     ensure_equal(ctxt, type_check(ctxt, e), t, rule, message, at)
 
 
+def _typed_then_inferred_and_compared(ctxt, e, t, message, at=None):
+    """What `check_def` replaces: the declared type typed whole, then the
+    value inferred whole and its type compared with it."""
+    ensure_universe(ctxt, t, "T-PI", "declared type must live in a universe", at)
+    _inferred_and_compared(ctxt, e, t, "T-App", message, at)
+
+
 @contextlib.contextmanager
 def _inferring():
-    """Every caller of `check` calls the reference instead."""
+    """Every caller of `check` and `check_def` calls the reference instead."""
     with pytest.MonkeyPatch.context() as patch:
         for module in (typecheck, termination, inductive):
             patch.setattr(module, "check", _inferred_and_compared)
+        patch.setattr(typecheck, "check_def", _typed_then_inferred_and_compared)
         yield
 
 
@@ -220,12 +229,25 @@ def _checked(source: str, budget):
 
 class TestCheck:
     """`check` walks a λ chain along the declared Π chain and infers only
-    the rest, but reports as inferring the whole value and comparing did."""
+    the rest, and `check_def` types that Π chain in the same walk, but both
+    report as typing the declared type, inferring the whole value and
+    comparing did."""
 
     @given(case=checked_defs())
     @example(case=(CHECKED + "def d() : Πa:A.Πx:(P a).B { λa:A.λx:(P a).b };", None))
     @example(case=(CHECKED + "def d() : Πa:A.Πx:(P a).B { λa:A.λx:(P a).a };", None))
     @example(case=(CHECKED + "def d() : Πx:A.Πx:B.A { λx:A.λx:B.x };", None))
+    # a walked domain, or the rest, that is not a type
+    @example(case=(CHECKED + "def d() : Πy:A.Πz:a.A { λy:A.λz:a.y };", None))
+    @example(case=(CHECKED + "def d() : Πy:A.a { λy:A.y };", None))
+    # ill-typed, but converts to the type the value has
+    @example(case=(CHECKED + "def d() : Πy:A.((λT:Set.A) a) { λy:A.y };", None))
+    @example(case=(CHECKED + "def d() : Πy:((λT:Set.A) a).A { λy:((λT:Set.A) a).y };", None))
+    # recursive: the value is a fixpoint, so the declared type is typed whole, then checked
+    @example(case=(NAT + "def d(n : Nat) : Nat { <λm:Nat.Nat> match n with "
+                         "{ Zero => Zero; Succ => λm:Nat.(d m) } };", None))
+    @example(case=(NAT + "def d(n : Nat) : Set { <λm:Nat.Nat> match n with "
+                         "{ Zero => Zero; Succ => λm:Nat.(d m) } };", None))
     @settings(max_examples=500, deadline=None)
     def test_checking_reports_as_inferring_and_comparing(self, case):
         source, budget = case
@@ -303,6 +325,10 @@ class TestCapture:
 
     def test_inner_binder_does_not_capture_the_outer_in_the_type(self):
         assert _status("def f() : ΠA:Set.ΠB:A.A { λA:Set.λA:A.A };", "f") == "ok"
+
+    def test_an_inferred_type_keeps_the_outer_name_its_inner_binder_shadows(self):
+        # T-Abs: the inner A is renamed on entry, so the codomain is the outer A
+        assert pretty(type_check(EMPTY, parse_term("λA:Set.λA:A.A"))) == "ΠA:Set.A -> A"
 
     def test_a_renamed_binder_avoids_the_free_names_of_its_scope(self):
         # A'1 is unbound; renaming the inner A to A'1 would make it bound
