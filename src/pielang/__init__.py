@@ -2,13 +2,12 @@
 dependent case matches and guard-checked recursion, plus a parser and
 batch checker for `.pie` files."""
 
-from .context import DEFAULT_BUDGET, Binding, Context
+from .context import Binding, Context
 from .normalize import BudgetExceeded, check_equal, normalise
 from .parser import (
     AxiomDecl,
     DefDecl,
     InductiveDeclSrc,
-    Program,
     desugar_def,
     parse_program,
     parse_term,
@@ -22,7 +21,6 @@ from .syntax import (
     Match,
     Name,
     Pi,
-    SourceSpan,
     Term,
     Universe,
     Var,
@@ -33,7 +31,7 @@ from .syntax import (
     subst,
 )
 from .diagnostics import CheckError, Diagnostic
-from .typecheck import ElabResult, elaborate, type_check
+from .typecheck import elaborate, type_check
 
 __all__ = [
     "App",
@@ -43,10 +41,8 @@ __all__ = [
     "CheckError",
     "Constr",
     "Context",
-    "DEFAULT_BUDGET",
     "DefDecl",
     "Diagnostic",
-    "ElabResult",
     "Fix",
     "Ind",
     "InductiveDeclSrc",
@@ -54,8 +50,6 @@ __all__ = [
     "Match",
     "Name",
     "Pi",
-    "Program",
-    "SourceSpan",
     "Term",
     "Universe",
     "Var",

@@ -258,27 +258,34 @@ _set_free_vars = Term._free_vars.__set__  # a frozen node refuses setattr
 
 
 def free_vars(t: Term) -> frozenset[Name]:
-    """The free names of t, computed once per node and kept on it."""
+    """The free names of t, computed once per node and kept on it. The chain
+    of λ/Π bodies and last arguments below t is walked by a loop and filled
+    from the bottom up, so no call recurses down that chain."""
     if (fv := t._free_vars) is not None:
         return fv
-    kind = type(t)
-    if kind is Var:
-        fv = frozenset((t.name,))
-    elif kind is Universe:
-        fv = frozenset()
+    chain = []
+    while (kind := type(t)) is Lam or kind is Pi or kind is App:
+        chain.append(t)
+        t = t.arg if kind is App else t.body
+        if (fv := t._free_vars) is not None:
+            break
     else:
-        roles, values = _SHAPES[kind]
-        fv, bound = frozenset(), ()
-        for role, value in zip(roles, values(t)):
-            if role is OUTSIDE and type(value) is not tuple:  # the common case, kept fast
-                fv |= free_vars(value)
-            elif role is BINDER:
-                bound = (value,)
-            elif role is not DATA:  # a term, or (name, term) pairs
-                for _, sub in value if type(value) is tuple else ((None, value),):
-                    names = free_vars(sub)
-                    fv |= names.difference(bound) if role is INSIDE else names
-    _set_free_vars(t, fv)
+        if kind is Var:
+            fv = frozenset((t.name,))
+        elif kind is Universe:
+            fv = frozenset()
+        else:  # an inductive, constructor, match or fixpoint, by the binding table
+            roles, values = _SHAPES[kind]
+            bound = [value for role, value in zip(roles, values(t)) if role is BINDER]
+            fv = frozenset().union(*map(free_vars, children(t, (OUTSIDE,))), frozenset().union(
+                *map(free_vars, children(t, (INSIDE,)))).difference(bound))
+        _set_free_vars(t, fv)
+    for t in reversed(chain):
+        if type(t) is App:
+            fv = free_vars(t.fn) | fv
+        else:
+            fv = free_vars(t.domain) | fv.difference((t.binder,))
+        _set_free_vars(t, fv)
     return fv
 
 
@@ -331,26 +338,40 @@ def subst(x: Name, s: Term, t: Term) -> Term:
 
 def _subst_all(sigma: dict[Name, Term], t: Term) -> Term:
     """Simultaneous capture-avoiding substitution. A subterm in which no
-    name of sigma is free comes back as the same object, span included."""
-    if sigma.keys().isdisjoint(free_vars(t)):
-        return t
+    name of sigma is free comes back as the same object, span included.
+    The chain of λ/Π bodies and last arguments is walked by a loop and
+    rebuilt from the bottom up, so no call recurses down that chain."""
+    chain = []
+    while not sigma.keys().isdisjoint(free_vars(t)):
+        kind = type(t)
+        if kind is App:
+            chain.append((App, _subst_all(sigma, t.fn)))
+            t = t.arg
+        elif kind is Lam or kind is Pi:
+            domain = _subst_all(sigma, t.domain)
+            binder, sigma = _under_binder(sigma, t.binder, [t.body])
+            chain.append((kind, binder, domain))
+            t = t.body
+        else:
+            t = sigma[t.name] if kind is Var else _subst_node(sigma, t)
+            break
+    for kind, *parts in reversed(chain):
+        t = kind(*parts, t)
+    return t
+
+
+def _subst_node(sigma: dict[Name, Term], t: Term) -> Term:
+    """_subst_all of an inductive, constructor, match or fixpoint, by the binding table."""
     kind = type(t)
-    if kind is Var:
-        return sigma[t.name]
     roles, values = _SHAPES[kind]
     args = []
     for role, value in zip(roles, values(t)):
-        if role is OUTSIDE and type(value) is not tuple:  # the common case, kept fast
-            value = _subst_all(sigma, value)
-        elif role is BINDER:
+        if role is BINDER:
             value, inner = _under_binder(sigma, value, children(t, (INSIDE,)))
         elif role is not DATA:
             scope = sigma if role is OUTSIDE else inner
             if type(value) is tuple:
-                pairs = []
-                for name, sub in value:
-                    pairs.append((name, _subst_all(scope, sub)))
-                value = tuple(pairs)
+                value = tuple([(name, _subst_all(scope, sub)) for name, sub in value])
             else:
                 value = _subst_all(scope, value)
         args.append(value)
@@ -465,7 +486,7 @@ def pretty(t: Term) -> str:
                 domain = domain.text if domain.fresh_tag == 0 else str(domain)
             else:
                 domain = _atom(domain)
-            if kind is Pi and x.fresh_tag != 0 and x not in _chain_free_vars(t.body):
+            if kind is Pi and x.fresh_tag != 0 and x not in free_vars(t.body):
                 parts.append(f"{domain} -> ")
             else:
                 x = x.text if x.fresh_tag == 0 else str(x)
@@ -478,19 +499,6 @@ def pretty(t: Term) -> str:
             else:
                 leaf = _leaf(t)
             return "".join(parts) + leaf + ")" * closing if parts else leaf
-
-
-def _chain_free_vars(t: Term) -> frozenset[Name]:
-    """free_vars(t), computed from the bottom of t's chain of λ/Π bodies and
-    last arguments up, so that no call recurses down that chain."""
-    chain = []
-    while type(t) in (Lam, Pi, App) and t._free_vars is None:
-        chain.append(t)
-        t = t.arg if type(t) is App else t.body
-    fv = free_vars(t)
-    for u in reversed(chain):
-        fv = free_vars(u)
-    return fv
 
 
 def _leaf(t: Term) -> str:

@@ -60,7 +60,8 @@ def _guard_fix(f: Name, k: int, body: Term) -> None:
 
 
 def check_fix(ctxt: Context, fix: Fix) -> Term:
-    ensure_universe(ctxt, fix.signature, "T-Fix", "fixpoint signature is not a type", fix)
+    # a fixpoint is a recursive def, whose signature is reported as a declared type
+    ensure_universe(ctxt, fix.signature, "T-PI", "declared type must live in a universe", fix)
     inner, f, body = enter(ctxt, fix.name, fix.signature, fix.body)
     check(inner, body, fix.signature, "T-Fix",
           f"fixpoint body of {fix.name} does not have the declared type", fix)
@@ -71,7 +72,7 @@ def check_fix(ctxt: Context, fix: Fix) -> Term:
             f"decreasing-argument index {fix.dec_index} out of range for {fix.name}",
             fix.span,
         )
-    _guard_fix(f, fix.dec_index, body)
+    _guard_fix(f, fix.dec_index, body)  # the kernel's check of the index elaboration inferred
     return fix.signature
 
 

@@ -24,7 +24,6 @@ from .syntax import (
     Term,
     Universe,
     Var,
-    _chain_free_vars,
     _subst_all,
     alpha_eq,
     free_vars,
@@ -108,9 +107,8 @@ def type_check(ctxt: Context, e: Term) -> Term:
                 if tf is not None:  # t types the argument of apps[-1]
                     app = apps.pop()
                     ensure_equal(ctxt, t, domain, "T-App", "argument type mismatch", app)
-                    # only a binder its scope names is substituted; free names
-                    # are read up the Π chain, so no call recurses down it
-                    if tf.binder in _chain_free_vars(tf.body):
+                    # only a binder its scope names is substituted
+                    if tf.binder in free_vars(tf.body):
                         sigma[tf.binder] = app.arg
                     t = tf.body
                 if not apps:  # sigma maps the dependent binders passed so far to their arguments
@@ -173,12 +171,12 @@ def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, at=None) -> 
 
 
 def check_def(ctxt: Context, e: Term, t: Term, message: str, at=None) -> None:
-    """Check a def's value e against its declared type t, and t as a type, in
-    one walk: while e is a λ and t a Π as in `check`, type the Π's domain, as
-    T-PI does, and enter the pair; then type the rest of t, infer the rest of
-    e and compare them. If the walk entered nothing (a recursive def's value
-    is a fixpoint), or anything fails or differs, t is typed whole and e
-    checked against it, so the report is the one those two calls give."""
+    """Check the value e of a def that does not recurse against its declared
+    type t, and t as a type, in one walk: while e is a λ and t a Π as in
+    `check`, type the Π's domain, as T-PI does, and enter the pair; then type
+    the rest of t, infer the rest of e and compare them. If the walk entered
+    nothing, or anything fails or differs, t is typed whole, e inferred whole
+    and its type compared with t, and the report is the one those give."""
     inner, body, rest = ctxt, e, t
     try:
         while (type(body) is Lam and type(rest) is Pi and body.binder == rest.binder
@@ -192,7 +190,7 @@ def check_def(ctxt: Context, e: Term, t: Term, message: str, at=None) -> None:
     except CheckError:
         pass
     ensure_universe(ctxt, t, "T-PI", "declared type must live in a universe", at)
-    check(ctxt, e, t, "T-App", message, at)
+    ensure_equal(ctxt, type_check(ctxt, e), t, "T-App", message, at)
 
 
 def enter(ctxt: Context, x: Name, t: Term, *scope: Term) -> tuple:
@@ -247,8 +245,10 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                     if occurs_free(name, value):  # recursive; a failed guard is reported first
                         k = termination.infer_fix_index(name, value)
                         value = Fix(name, k, declared, value, span=span)
-                    check_def(ctxt, value, declared,
-                              f"definition {name} does not have its declared type", decl)
+                        type_check(ctxt, value)  # T-Fix: its type is declared
+                    else:
+                        check_def(ctxt, value, declared,
+                                  f"definition {name} does not have its declared type", decl)
                     ctxt = ctxt.declare(name, declared, value)
                     result.entries.append((name, declared, "ok"))
                 case InductiveDeclSrc(name=name, span=span):

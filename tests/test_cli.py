@@ -228,14 +228,25 @@ class TestDepth:
         assert report.decls[-1] == (Name("d"), None, "failed")
 
     # a binder whose name the context already binds is renamed by enter, which
-    # reads the free names of its whole scope, and substitutes into it, by recursion
-    @pytest.mark.xfail(strict=True, raises=RecursionError, reason="enter's free_vars and"
-                       " subst recurse per level; a flat free_vars and _subst_all (ROADMAP"
-                       " item 1, second half) mend it")
-    def test_a_chain_of_binders_sharing_one_name_checks_at_the_default_recursion_limit(self):
+    # reads the free names of its scope and substitutes into it; both loop
+    # down the chain of binders, and here every binder after the first is renamed
+    @pytest.mark.parametrize("binders", [2000, 20000])
+    def test_a_chain_of_binders_sharing_one_name_checks_at_the_default_recursion_limit(
+            self, binders):
         assert sys.getrecursionlimit() == 1000
-        report = check_source("Axiom A : Set;\ndef d() : " + "Πx:A." * 2000 + "A { "
-                              + "λx:A." * 2000 + "x };")
+        report = check_source("Axiom A : Set;\ndef d() : " + "Πx:A." * binders + "A { "
+                              + "λx:A." * binders + "x };")
+        assert report.exit_code == 0, report.lines()
+
+    # the first argument of a dependent function is substituted into the
+    # rest of its Π chain, by a loop down that chain
+    def test_a_dependent_partial_application_checks_at_the_default_recursion_limit(self):
+        assert sys.getrecursionlimit() == 1000
+        binders = [f"x{i}" for i in range(3000)]
+        source = ("Axiom A : Set;\nAxiom P : A -> Set;\nAxiom a : A;\nAxiom f : "
+                  + "".join(f"Π{x}:A." for x in binders) + "(P x0);\ndef d() : "
+                  + "".join(f"Π{x}:A." for x in binders[1:]) + "(P a) { (f a) };")
+        report = check_source(source)
         assert report.exit_code == 0, report.lines()
 
     # 500 parentheses used to raise RecursionError out of the parser

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import elaborated, entry_type
+from conftest import corpus_source, elaborated, entry_type
 from pielang import (
     App,
     BudgetExceeded,
@@ -205,8 +205,8 @@ def _inferred_and_compared(ctxt, e, t, rule, message, at=None):
 
 
 def _typed_then_inferred_and_compared(ctxt, e, t, message, at=None):
-    """What `check_def` replaces: the declared type typed whole, then the
-    value inferred whole and its type compared with it."""
+    """What `check_def` replaces, and falls back to: the declared type typed
+    whole, then the value inferred whole and its type compared with it."""
     ensure_universe(ctxt, t, "T-PI", "declared type must live in a universe", at)
     _inferred_and_compared(ctxt, e, t, "T-App", message, at)
 
@@ -243,7 +243,7 @@ class TestCheck:
     # ill-typed, but converts to the type the value has
     @example(case=(CHECKED + "def d() : Πy:A.((λT:Set.A) a) { λy:A.y };", None))
     @example(case=(CHECKED + "def d() : Πy:((λT:Set.A) a).A { λy:((λT:Set.A) a).y };", None))
-    # recursive: the value is a fixpoint, so the declared type is typed whole, then checked
+    # recursive: the value is a fixpoint, which T-Fix types with its declared type
     @example(case=(NAT + "def d(n : Nat) : Nat { <λm:Nat.Nat> match n with "
                          "{ Zero => Zero; Succ => λm:Nat.(d m) } };", None))
     @example(case=(NAT + "def d(n : Nat) : Set { <λm:Nat.Nat> match n with "
@@ -279,6 +279,24 @@ class TestCheck:
         source = ("Axiom A : Set;\nAxiom B : Set;\nAxiom b : B;\ndef d() : " + pis + "A { "
                   + "".join(f"λ{x}:A." for x in binders) + "b };")
         assert check_source(source).lines() == ["error[" + reported.format(pis, pis)]
+
+    def test_a_recursive_def_has_its_declared_type_typed_once(self, monkeypatch):
+        declared, typed = parse_term("Πx:Nat.Πy:Nat.Nat"), []
+
+        def spy(ctxt, e):
+            typed.append(alpha_eq(e, declared))
+            return type_check(ctxt, e)
+        monkeypatch.setattr(typecheck, "type_check", spy)
+        result = elaborate(parse_program(corpus_source("add.pie"), "add.pie"))
+        assert not result.diagnostics
+        assert typed.count(True) == 1
+
+    # a fixpoint's signature is a def's declared type, and is reported as one
+    def test_a_recursive_def_whose_declared_type_is_not_a_type(self):
+        source = NAT + ("def f() : Zero { λn:Nat.<λm:Nat.Nat> match n with "
+                        "{ Zero => Zero; Succ => λm:Nat.(f m) } };")
+        assert check_source(source).lines() == [
+            "error[T-PI] <input>:2:5: declared type must live in a universe"]
 
     def test_a_recursive_def_with_a_wrong_result_type_fails_its_fixpoint(self):
         # the parameter b shadows the axiom, so both chains rename it; the
