@@ -194,10 +194,16 @@ def _apart(t: Term, avoid=frozenset()) -> tuple[list[tuple[Name, Term]], Term]:
 
 
 def _occurs_left_of_arrow(name: Name, t: Term) -> bool:
-    match t:
-        case Pi(binder=x, domain=d, body=b):
-            return name in free_vars(d) or (x != name and _occurs_left_of_arrow(name, b))
-        case App(fn=f, arg=a):
-            return _occurs_left_of_arrow(name, f) or _occurs_left_of_arrow(name, a)
-        case _:
-            return False
+    """Whether name is free in a domain of a Π in t, looking through Π bodies
+    (until a binder hides name) and both sides of applications; one loop."""
+    work = [t]
+    while work:
+        t = work.pop()
+        if type(t) is Pi:
+            if name in free_vars(t.domain):
+                return True
+            if t.binder != name:
+                work.append(t.body)
+        elif type(t) is App:
+            work += t.arg, t.fn
+    return False

@@ -10,16 +10,18 @@ environment instead of substituting, names bound in the context unfold
 (delta), matches reduce on a constructor-headed scrutinee (iota), and a
 fixpoint unfolds only once its decreasing argument is constructor-headed;
 a name bound to a fixpoint stays that name until then. Each of these goes
-round the loop, so only an argument or a scrutinee costs a Python frame.
-Inductives, constructors, fixpoints and the carrier and branches of a stuck
-match are not evaluated inside.
+round the loop. A spine whose arguments are being evaluated, and a match
+whose scrutinee is, wait on a stack of frames, so no level of a term costs
+a Python frame. Inductives, constructors, fixpoints and the carrier and
+branches of a stuck match are not evaluated inside.
 
 A λ or Π closure evaluates its domain, and its body under a variable of
 its own, the first time it is looked inside, and keeps both. `normalise`
-reads a value back to a term. Each binder keeps its own name unless a free
-variable of the same name occurs in its body. The read-back notes such
-captures on a first pass and, only if it found one, reads the value back
-once more with those binders renamed to names nothing else read back has.
+reads a value back to a term, in one loop over a stack of tasks. Each
+binder keeps its own name unless a free variable of the same name occurs in
+its body. The read-back notes such captures on a first pass and, only if it
+found one, reads the value back once more with those binders renamed to
+names nothing else read back has.
 Conversion (`check_equal`, and `mismatch`, which also gives the normal forms
 of two terms that differ) first compares the two terms syntactically:
 alpha-equal terms are equal with no evaluation. Otherwise it compares their
@@ -28,11 +30,13 @@ stops at the first mismatch; it reads back only what evaluation does not
 look inside. When the two differ, their normal forms are read back from the
 values the comparison built. Beta, delta, iota and fixpoint unfolding each
 draw a step from a budget, so adversarial input raises BudgetExceeded
-instead of hanging the kernel.
+instead of hanging the kernel. Running out of steps is the only way a
+normalisation stops short: evaluation, read-back and conversion take no
+Python frame per level of a term, so they reach any depth under the
+interpreter's own recursion limit, which nothing here changes.
 """
 from __future__ import annotations
 
-import sys
 from itertools import repeat
 
 from .context import Context
@@ -57,14 +61,11 @@ from .syntax import (
     subst,  # not used here, but `pielang.normalize.subst` keeps resolving
 )
 
-_DEPTH_LIMIT = 4000
-
-
 class BudgetExceeded(CheckError):
     """Raised when normalization exceeds its reduction-step budget."""
 
-    def __init__(self, budget: int, reason: str = "step budget"):
-        super().__init__(Diagnostic("Budget", f"normalization exceeded the {reason} of {budget}"))
+    def __init__(self, budget: int):
+        super().__init__(Diagnostic("Budget", f"normalization exceeded the step budget of {budget}"))
         self.budget = budget
 
 
@@ -116,6 +117,9 @@ class _VMatch:
 # terms that evaluate to themselves paired with their environment
 _CLOSED_TERMS = (Lam, Pi, Universe, Ind, Constr, Fix)
 
+# the steps of a read-back, besides a value to read back
+_APPLY, _CLOSE, _NAME, _BIND, _MATCH, _SUBST = "apply", "close", "name", "bind", "match", "subst"
+
 
 def _constructor(v) -> tuple[Constr | None, tuple]:
     """The head constructor and arguments of v, if it is constructor-headed."""
@@ -156,57 +160,79 @@ class _Evaluator:
             raise BudgetExceeded(self.budget)
 
     def eval(self, t: Term, env: dict, args: tuple = ()):
-        """The value of t in env applied to the values args."""
+        """The value of t in env applied to the values args. A spine waiting
+        for the value of its next argument, and a match waiting for the value
+        of its scrutinee, wait as frames on a stack, not as Python frames."""
+        waiting = []
         while True:
-            kind = type(t)
-            if kind is App:
-                t, spine_args = spine(t)
-                values = []
-                for a in spine_args:
-                    values.append(self.eval(a, env))
-                args = (*values, *args)
-                continue
-            if kind is Var:
-                f = env.get(t.name) if env else None
-                if f is None:
+            while True:  # the value f at the head of t
+                kind = type(t)
+                if kind is Match or kind is App and type(t.fn) is not App:
+                    # a match waits for its scrutinee's value, an application for its argument's
+                    waiting.append((t, env, args))
+                    t, args = t.scrutinee if kind is Match else t.arg, ()
+                elif kind is App:  # a longer spine waits as a list that collects its values
+                    t, terms = spine(t)
+                    waiting.append([t, env, args, terms])
+                    t, args = terms[0], ()
+                elif kind is Var:
+                    f = env.get(t.name) if env else None
+                    if f is not None:
+                        break
                     value = self.ctxt.lookup_val(t.name)
                     if value is None or type(value) is Fix:
                         f = _VVar(t, value)
-                    else:
+                        break
+                    self.tick()
+                    t, env = value, {}
+                elif kind in _CLOSED_TERMS:
+                    f = _Closure(t, env)
+                    break
+                else:
+                    raise TypeError(f"not a term: {t!r}")
+            while True:  # f applied to args, then handed to the frame waiting for it
+                if args:
+                    if type(f) is _Closure and type(f.term) is Lam:
                         self.tick()
-                        t, env = value, {}
-                        continue
-            elif kind is Match:
-                f = self.eval(t.scrutinee, env)
-                c, c_args = _constructor(f)
+                        t, env, args = f.term.body, {**f.env, f.term.binder: args[0]}, args[1:]
+                        break
+                    if type(f) is _VApp:
+                        f, args = f.head, f.args + args
+                    fix = f.fix if type(f) is _VVar else f.term if type(f) is _Closure else None
+                    if type(fix) is Fix and len(args) > fix.dec_index and (
+                            _constructor(args[fix.dec_index])[0] is not None):
+                        self.tick()
+                        env = {} if type(f) is _VVar else f.env
+                        # stuck recursive calls keep the name the context binds to this
+                        # fixpoint, so they compare equal to calls written with it
+                        itself = (_VVar(Var(fix.name), fix) if self.ctxt.lookup_val(fix.name) is fix
+                                  else _Closure(fix, env))
+                        t, env = fix.body, {**env, fix.name: itself}
+                        break
+                    f, args = _VApp(f, args), ()
+                if not waiting:
+                    return f
+                frame = waiting[-1]
+                if type(frame) is list:  # a spine: f is the value of its next argument
+                    frame.append(f)
+                    env, terms = frame[1], frame[3]
+                    if len(frame) - 4 < len(terms):
+                        t, args = terms[len(frame) - 4], ()
+                    else:
+                        waiting.pop()
+                        t, args = frame[0], (*frame[4:], *frame[2])
+                    break
+                waiting.pop()
+                t, env, args = frame
+                if type(t) is App:  # f is the value of its argument
+                    t, args = t.fn, (f, *args)
+                    break
+                c, c_args = _constructor(f)  # t is a match, and f the value of its scrutinee
                 if c is not None:
                     self.tick()
                     t, args = t.branches[c.index - 1][1], c_args + args
-                    continue
+                    break
                 f = _VMatch(t, f, env)
-            elif kind in _CLOSED_TERMS:
-                f = _Closure(t, env)
-            else:
-                raise TypeError(f"not a term: {t!r}")
-            if not args:
-                return f
-            if type(f) is _Closure and type(f.term) is Lam:
-                self.tick()
-                t, env, args = f.term.body, {**f.env, f.term.binder: args[0]}, args[1:]
-                continue
-            if type(f) is _VApp:
-                f, args = f.head, f.args + args
-            fix = f.fix if type(f) is _VVar else f.term if type(f) is _Closure else None
-            if type(fix) is not Fix or len(args) <= fix.dec_index or (
-                    _constructor(args[fix.dec_index])[0] is None):
-                return _VApp(f, args)
-            self.tick()
-            env = {} if type(f) is _VVar else f.env
-            # stuck recursive calls keep the name the context binds to this
-            # fixpoint, so they compare equal to calls written with it
-            itself = (_VVar(Var(fix.name), fix) if self.ctxt.lookup_val(fix.name) is fix
-                      else _Closure(fix, env))
-            t, env = fix.body, {**env, fix.name: itself}
 
     def open(self, c: _Closure) -> None:
         """Evaluate a λ or Π closure's domain, and its body under a new
@@ -228,45 +254,85 @@ class _Evaluator:
         return self.quote(v) if self.captures else t
 
     def quote(self, v) -> Term:
-        if type(v) is _VVar:
-            t = self.names.get(v, v.term)
-            if self.scope is not None:
-                self._occurs(t.name, v)
-            return t
-        if type(v) is _VApp:
-            t = self.quote(v.head)
-            for a in v.args:
-                t = App(t, self.quote(a))
-            return t
-        if type(v) is _VMatch:
-            m, env = v.term, v.env
-            return Match(
-                self.close(m.carrier, env),
-                self.quote(v.scrutinee),
-                tuple((cn, self.close(body, env)) for cn, body in m.branches),
-            )
-        t = v.term
-        if type(t) not in (Lam, Pi):
-            return self.close(t, v.env)
-        self.open(v)
-        domain = self.quote(v.domain)
-        x, var = t.binder, v.var
-        if self.scope is None:
-            if any(self._keeps_name(r) for r in self.captures.get(var, ())):
-                x = fresh_name(x, self.taken)
-                self.taken.add(x)
-            self.names[var] = Var(x) if x is not t.binder else var.term
-            body = self.quote(v.body)
-        else:
-            self.names.pop(var, None)
-            self.taken.add(x)
-            stack = self.scope.setdefault(x, [])
-            stack.append(var)
-            body = self.quote(v.body)
-            stack.pop()
-        if x is t.binder and domain is t.domain and body is t.body:
-            return t
-        return type(t)(x, domain, body)
+        """v as a term. One loop over a stack of tasks: a value to read back,
+        or a step that closes a term over an environment, names a binder or
+        builds a node from the terms last read back onto `done`. Values are
+        read back in pre-order, a head before its arguments and a domain
+        before its binder is named, as the two passes of read_back need."""
+        tasks, done = [v], []
+        while tasks:
+            v = tasks.pop()
+            kind = type(v)
+            if kind is _VVar:
+                t = self.names.get(v, v.term)
+                if self.scope is not None:
+                    self._occurs(t.name, v)
+                done.append(t)
+            elif kind is _VApp:
+                for a in reversed(v.args):
+                    tasks += _APPLY, a
+                tasks.append(v.head)
+            elif v is _APPLY:  # the head and the argument are read back
+                a = done.pop()
+                done[-1] = App(done[-1], a)
+            elif kind is _Closure and type(v.term) in (Lam, Pi):
+                self.open(v)
+                tasks += (_NAME, v), v.domain
+            elif kind is _VMatch:
+                m = v.term
+                tasks.append((_MATCH, m))
+                tasks.extend([(_CLOSE, body, v.env) for _, body in reversed(m.branches)])
+                tasks += v.scrutinee, (_CLOSE, m.carrier, v.env)
+            elif kind is _Closure or (step := v[0]) is _CLOSE:  # t with env's values read back
+                t, env = (v.term, v.env) if kind is _Closure else v[1:]
+                names = ()
+                if env or self.scope:
+                    used = free_vars(t)
+                    if self.scope:
+                        self.taken.update(used)
+                        for x in used.intersection(self.scope):
+                            if x not in env:
+                                self._occurs(x, None)
+                    names = [x for x in env if x in used]
+                if names:
+                    tasks.append((_SUBST, t, names))
+                    tasks.extend([env[x] for x in reversed(names)])
+                else:
+                    done.append(t)
+            elif step is _NAME:  # the domain is read back: name the binder
+                v = v[1]
+                t, var = v.term, v.var
+                x = t.binder
+                if self.scope is None:
+                    if any(self._keeps_name(r) for r in self.captures.get(var, ())):
+                        x = fresh_name(x, self.taken)
+                        self.taken.add(x)
+                    self.names[var] = Var(x) if x is not t.binder else var.term
+                else:
+                    self.names.pop(var, None)
+                    self.taken.add(x)
+                    self.scope.setdefault(x, []).append(var)
+                tasks += (_BIND, t, x), v.body
+            elif step is _BIND:  # the body is read back too
+                _, t, x = v
+                body, domain = done.pop(), done[-1]
+                if self.scope is not None:
+                    self.scope[x].pop()
+                done[-1] = (t if x is t.binder and domain is t.domain and body is t.body
+                            else type(t)(x, domain, body))
+            elif step is _MATCH:
+                branches = v[1].branches
+                parts = done[-2 - len(branches):]
+                del done[-2 - len(branches):]
+                done.append(Match(parts[0], parts[1], tuple(
+                    (cn, body) for (cn, _), body in zip(branches, parts[2:]))))
+            else:  # _SUBST: the values of names are read back
+                _, t, names = v
+                terms = done[-len(names):]
+                del done[-len(names):]
+                done.append(_subst_all({x: s for x, s in zip(names, terms)
+                                        if not (type(s) is Var and s.name == x)}, t))
+        return done[0]
 
     def _occurs(self, x: Name, r) -> None:
         """Note that x occurs free, standing for r, below the binders in
@@ -280,26 +346,6 @@ class _Evaluator:
     def _keeps_name(self, r) -> bool:
         """Whether r, noted by _occurs, is read back under its own name."""
         return r is None or self.names.get(r, r.term) is r.term
-
-    def close(self, t: Term, env: dict) -> Term:
-        """t with the values env binds for its free names read back into it."""
-        if not (env or self.scope):
-            return t
-        used = free_vars(t)
-        if self.scope:
-            self.taken.update(used)
-            for x in used.intersection(self.scope):
-                if x not in env:
-                    self._occurs(x, None)
-        if not env:
-            return t
-        sigma = {}
-        for x, v in env.items():
-            if x in used:
-                s = self.quote(v)
-                if not (type(s) is Var and s.name == x):
-                    sigma[x] = s
-        return _subst_all(sigma, t)
 
 
 # ---------------------------------------------------------------------------
@@ -349,21 +395,9 @@ def _convert(left: _Evaluator, right: _Evaluator, u, v) -> bool:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def _within_depth_limit(run):
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, _DEPTH_LIMIT))
-    try:
-        return run()
-    except RecursionError:
-        # divergence can pile up nesting faster than it burns steps
-        raise BudgetExceeded(_DEPTH_LIMIT, "nesting depth limit") from None
-    finally:
-        sys.setrecursionlimit(limit)
-
-
 def normalise(e: Term, ctxt: Context, budget: int | None = None) -> Term:
     ev = _Evaluator(ctxt, budget)
-    return _within_depth_limit(lambda: ev.read_back(ev.eval(e, {})))
+    return ev.read_back(ev.eval(e, {}))
 
 
 def _unfold_inert(t: Term, ctxt: Context) -> Term:
@@ -379,35 +413,16 @@ def _unfold_inert(t: Term, ctxt: Context) -> Term:
 
 
 def _compare(a: Term, b: Term, ctxt: Context, budget: int | None):
-    """None if a and b are definitionally equal; otherwise a function that
-    reads back their normal forms, in that order, from the values the
-    comparison built. Alpha-equal terms, once a name bound to an inert term
-    is unfolded, are equal with no evaluation and no step drawn."""
+    """None if a and b are definitionally equal; otherwise the evaluator of
+    each side and the value it built, in that order. Alpha-equal terms, once a
+    name bound to an inert term is unfolded, are equal with no evaluation and
+    no step drawn."""
     a, b = _unfold_inert(a, ctxt), _unfold_inert(b, ctxt)
     if alpha_eq(a, b):
         return None
     left, right = _Evaluator(ctxt, budget), _Evaluator(ctxt, budget)
-
-    def convert():
-        u, v = left.eval(a, {}), right.eval(b, {})
-        return None if _convert(left, right, u, v) else (u, v)
-
-    values = _within_depth_limit(convert)
-    if values is None:
-        return None
-
-    def read_back():
-        # The comparison drew each side's steps from what normalising that
-        # side draws, and opened closures once, so finishing the read-back
-        # draws the same total from the same budget and builds the same term;
-        # the names it gave binder pairs do not matter, since the read-back
-        # names each binder it enters afresh. b is read back first: typing
-        # passes the expected type as b, and the side normalised first names
-        # the refusal if both run out.
-        expected = right.read_back(values[1])
-        return left.read_back(values[0]), expected
-
-    return lambda: _within_depth_limit(read_back)
+    u, v = left.eval(a, {}), right.eval(b, {})
+    return None if _convert(left, right, u, v) else (left, u, right, v)
 
 
 def check_equal(a: Term, b: Term, ctxt: Context, budget: int | None = None) -> bool:
@@ -423,4 +438,13 @@ def mismatch(a: Term, b: Term, ctxt: Context,
     otherwise their normal forms, as normalise gives them, read back from
     the values the comparison already built instead of evaluated again."""
     differ = _compare(a, b, ctxt, budget)
-    return None if differ is None else differ()
+    if differ is None:
+        return None
+    left, u, right, v = differ
+    # The comparison drew each side's steps from what normalising that side
+    # draws, and opened closures once, so finishing the read-back draws the
+    # same total and builds the same term; the read-back names each binder it
+    # enters afresh. b is read back first: typing passes the expected type as
+    # b, and the side normalised first names the refusal if both run out.
+    expected = right.read_back(v)
+    return left.read_back(u), expected

@@ -258,33 +258,37 @@ _set_free_vars = Term._free_vars.__set__  # a frozen node refuses setattr
 
 
 def free_vars(t: Term) -> frozenset[Name]:
-    """The free names of t, computed once per node and kept on it. The chain
-    of λ/Π bodies and last arguments below t is walked by a loop and filled
-    from the bottom up, so no call recurses down that chain."""
+    """The free names of t, computed once per node and kept on it. Two loops
+    and no call that recurses: the first lists the nodes below t with no set
+    yet, each before its children in any position, and the second makes
+    their sets in the reverse order, each after its children's."""
     if (fv := t._free_vars) is not None:
         return fv
-    chain = []
-    while (kind := type(t)) is Lam or kind is Pi or kind is App:
-        chain.append(t)
-        t = t.arg if kind is App else t.body
-        if (fv := t._free_vars) is not None:
-            break
-    else:
-        if kind is Var:
-            fv = frozenset((t.name,))
-        elif kind is Universe:
-            fv = frozenset()
+    order, work = [], [t]
+    while work:
+        t = work.pop()
+        order.append(t)
+        kind = type(t)
+        for sub in ((t.fn, t.arg) if kind is App else (t.domain, t.body)
+                    if kind is Lam or kind is Pi else children(t)):
+            if sub._free_vars is None:
+                if type(sub) is Var:  # a leaf's set is made here, with no visit
+                    _set_free_vars(sub, frozenset((sub.name,)))
+                else:
+                    work.append(sub)
+    for t in reversed(order):
+        kind = type(t)
+        if kind is App:
+            fv = t.fn._free_vars | t.arg._free_vars
+        elif kind is Lam or kind is Pi:
+            fv = t.domain._free_vars | t.body._free_vars.difference((t.binder,))
+        elif kind is Var or kind is Universe:  # t itself, as a leaf below it is set above
+            fv = frozenset((t.name,)) if kind is Var else frozenset()
         else:  # an inductive, constructor, match or fixpoint, by the binding table
             roles, values = _SHAPES[kind]
             bound = [value for role, value in zip(roles, values(t)) if role is BINDER]
             fv = frozenset().union(*map(free_vars, children(t, (OUTSIDE,))), frozenset().union(
                 *map(free_vars, children(t, (INSIDE,)))).difference(bound))
-        _set_free_vars(t, fv)
-    for t in reversed(chain):
-        if type(t) is App:
-            fv = free_vars(t.fn) | fv
-        else:
-            fv = free_vars(t.domain) | fv.difference((t.binder,))
         _set_free_vars(t, fv)
     return fv
 
@@ -339,43 +343,45 @@ def subst(x: Name, s: Term, t: Term) -> Term:
 def _subst_all(sigma: dict[Name, Term], t: Term) -> Term:
     """Simultaneous capture-avoiding substitution. A subterm in which no
     name of sigma is free comes back as the same object, span included.
-    The chain of λ/Π bodies and last arguments is walked by a loop and
-    rebuilt from the bottom up, so no call recurses down that chain."""
-    chain = []
-    while not sigma.keys().isdisjoint(free_vars(t)):
-        kind = type(t)
-        if kind is App:
-            chain.append((App, _subst_all(sigma, t.fn)))
-            t = t.arg
+    One loop over a stack of tasks, each a substitution into a subterm or a
+    node to rebuild from the last results, so no call recurses."""
+    work, done = [(sigma, t)], []
+    while work:
+        sigma, t = work.pop()
+        if type(sigma) is not dict:  # rebuild a node of kind sigma from t and the last results
+            if sigma is App or sigma is Lam or sigma is Pi:  # t is None or the binder
+                last = done.pop()
+                done[-1] = App(done[-1], last) if sigma is App else sigma(t, done[-1], last)
+            else:  # t is the binding table's fields; a subterm is the next result
+                fields, n = t
+                results = iter(done[-n:])
+                del done[-n:]
+                done.append(sigma(*[value if role is BINDER or role is DATA else tuple(
+                    [(x, next(results)) for x, _ in value]) if type(value) is tuple
+                    else next(results) for role, value in fields]))
+        elif (t._free_vars or free_vars(t)).isdisjoint(sigma):
+            done.append(t)
+        elif (kind := type(t)) is Var:
+            done.append(sigma[t.name])
+        elif kind is App:
+            work += (App, None), (sigma, t.arg), (sigma, t.fn)
         elif kind is Lam or kind is Pi:
-            domain = _subst_all(sigma, t.domain)
-            binder, sigma = _under_binder(sigma, t.binder, [t.body])
-            chain.append((kind, binder, domain))
-            t = t.body
-        else:
-            t = sigma[t.name] if kind is Var else _subst_node(sigma, t)
-            break
-    for kind, *parts in reversed(chain):
-        t = kind(*parts, t)
-    return t
-
-
-def _subst_node(sigma: dict[Name, Term], t: Term) -> Term:
-    """_subst_all of an inductive, constructor, match or fixpoint, by the binding table."""
-    kind = type(t)
-    roles, values = _SHAPES[kind]
-    args = []
-    for role, value in zip(roles, values(t)):
-        if role is BINDER:
-            value, inner = _under_binder(sigma, value, children(t, (INSIDE,)))
-        elif role is not DATA:
-            scope = sigma if role is OUTSIDE else inner
-            if type(value) is tuple:
-                value = tuple([(name, _subst_all(scope, sub)) for name, sub in value])
-            else:
-                value = _subst_all(scope, value)
-        args.append(value)
-    return kind(*args)
+            binder, inner = _under_binder(sigma, t.binder, [t.body])
+            work += (kind, binder), (inner, t.body), (sigma, t.domain)
+        else:  # by the binding table; a field of (name, term) pairs is rebuilt pair by pair
+            roles, values = _SHAPES[kind]
+            fields, subs = [], []
+            for role, value in zip(roles, values(t)):
+                if role is BINDER:
+                    value, inner = _under_binder(sigma, value, children(t, (INSIDE,)))
+                elif role is not DATA:
+                    scope = sigma if role is OUTSIDE else inner
+                    subs.extend([(scope, sub) for _, sub in value] if type(value) is tuple
+                                else [(scope, value)])
+                fields.append((role, value))
+            work.append((kind, (fields, len(subs))))
+            work.extend(reversed(subs))
+    return done[0]
 
 
 def _under_binder(sigma: dict[Name, Term], binder: Name, scope: list[Term]):

@@ -131,6 +131,12 @@ def interleave(monkeypatch, paused_check, other_check):
 
 
 NAT = "Inductive Nat : Set := | Zero : Nat | Succ : Nat -> Nat;\n"
+ADD = NAT + ("def add(x : Nat, y : Nat) : Nat { <λm:Nat.Nat> match x with "
+             "{ Zero => y; Succ => λp:Nat.(Succ (add p y)) } };\n")
+
+
+def numeral(k: int) -> str:
+    return "(Succ " * k + "Zero" + ")" * k
 
 
 def nested(shape: str, depth: int) -> str:
@@ -249,6 +255,52 @@ class TestDepth:
         report = check_source(source)
         assert report.exit_code == 0, report.lines()
 
+    # a binder that enter renames has its scope's free names read and
+    # substituted into, down the function head of a long spine as well
+    def test_a_long_spine_under_a_renamed_binder_checks_at_the_default_recursion_limit(self):
+        assert sys.getrecursionlimit() == 1000
+        source = ("Axiom A : Set;\nAxiom a : A;\nAxiom x : A;\nAxiom f : "
+                  + " -> ".join(["A"] * 1201) + ";\ndef d() : Πx:A.A { λx:A.(f" + " a" * 1199
+                  + " x) };")
+        report = check_source(source)
+        assert report.exit_code == 0, report.lines()
+
+    # evaluation and read-back take no Python frame per level, so a term
+    # deeper than the nesting limit of 4000 that normalisation once had gets
+    # the verdict the same shape gets under it: a sum that normalises, and
+    # two numerals that differ, reported with both normal forms
+    @pytest.mark.parametrize("n", [1000, 3000])
+    def test_a_deep_sum_normalises_at_the_default_recursion_limit(self, n):
+        assert sys.getrecursionlimit() == 1000
+        source = ADD + f"def t() : Nat {{ (add {numeral(n)} {numeral(n)}) }};"
+        report = check_source(source, normalize_name="t")
+        assert report.exit_code == 0
+        assert report.lines() == ["t ~> " + numeral(2 * n)]
+
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_deep_numerals_that_differ_are_reported_at_the_default_recursion_limit(self, n):
+        assert sys.getrecursionlimit() == 1000
+        source = (NAT + "Inductive Eq : Nat -> Nat -> Set := | Rfl : Πn:Nat.(Eq n n);\n"
+                  f"def t() : (Eq {numeral(n)} {numeral(n + 1)}) {{ (Rfl {numeral(n)}) }};")
+        report = check_source(source)
+        assert report.lines() == [
+            "error[T-App] <input>:3:5: definition t does not have its declared type (expected "
+            f"(Eq {numeral(n)} {numeral(n + 1)}), got (Eq {numeral(n)} {numeral(n)}))"]
+
+    # the guard check and the positivity check walk a term by a loop
+    def test_a_deeply_guarded_recursive_call_checks_at_the_default_recursion_limit(self):
+        assert sys.getrecursionlimit() == 1000
+        source = (NAT + "def f(n : Nat) : Nat { <λx:Nat.Nat> match n with { Zero => Zero; "
+                  "Succ => λm:Nat." + "(Succ " * 3000 + "(f m)" + ")" * 3000 + " } };")
+        report = check_source(source)
+        assert report.exit_code == 0, report.lines()
+
+    def test_a_long_constructor_argument_checks_at_the_default_recursion_limit(self):
+        assert sys.getrecursionlimit() == 1000
+        report = check_source("Axiom A : Set;\nInductive T : Set := | mk : ("
+                              + "A -> " * 3000 + "T) -> T;")
+        assert report.exit_code == 0, report.lines()
+
     # 500 parentheses used to raise RecursionError out of the parser
     @pytest.mark.parametrize("depth", [500, 5000])
     def test_deep_parentheses_check_like_shallow_ones(self, depth):
@@ -364,8 +416,7 @@ def _imports(module: Path):
 # calls that change a setting of the whole process, which every other check
 # in it then sees; matched by the called name, however the module is imported
 PROCESS_SETTERS = {"setrecursionlimit", "set_int_max_str_digits", "stack_size"}
-# the second half of ROADMAP item 1 deletes this one and empties the list
-PROCESS_SETTERS_ALLOWED = {("normalize.py", "_within_depth_limit")}
+PROCESS_SETTERS_ALLOWED: set[tuple[str, str]] = set()
 
 
 class TestPackage:

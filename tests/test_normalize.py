@@ -15,10 +15,8 @@ from conftest import elaborated
 from pielang import (
     App,
     BudgetExceeded,
-    CheckError,
     Constr,
     Context,
-    Diagnostic,
     Fix,
     Ind,
     Lam,
@@ -35,7 +33,7 @@ from pielang import (
     subst,
 )
 from pielang.cli import check_source
-from pielang.normalize import _DEPTH_LIMIT, _Evaluator, mismatch
+from pielang.normalize import _Evaluator, mismatch
 from pielang.syntax import apply_spine
 from strategies import add_terms, lambda_terms, names, terms
 
@@ -71,6 +69,17 @@ class TestReduction:
     def test_stuck_application_stays(self):
         t = normalise(parse_term("(f a)"), EMPTY)
         assert alpha_eq(t, parse_term("(f a)"))
+
+    # an application that a redex leaves in head position takes the arguments
+    # still waiting, after its own
+    @pytest.mark.parametrize("source, normal", [
+        ("((λx:Set.(f x)) A B)", "(f A B)"),
+        ("((λx:Set.(f x x)) A B)", "(f A A B)"),
+        ("((λx:Set.(f (g x))) A B)", "(f (g A) B)"),
+    ], ids=["one", "two", "nested"])
+    def test_an_application_left_in_head_position_takes_the_waiting_arguments(
+            self, source, normal):
+        assert alpha_eq(normalise(parse_term(source), EMPTY), parse_term(normal))
 
     def test_definitions_unfold(self):
         ctxt, t = norm_in("add.pie", "two")
@@ -123,32 +132,29 @@ class TestRecursion:
         with pytest.raises(BudgetExceeded):
             normalise(App(bad, parse_term("Zero")), nat, budget=5000)
 
-    def test_depth_limit_reports_the_depth_limit(self):
+    # evaluation and read-back take no Python frame per level, so a numeral
+    # twice as deep as the nesting limit normalisation once had normalises
+    # at the default recursion limit, and differs from its successor
+    def test_deep_numerals_normalise_at_the_default_recursion_limit(self):
+        assert sys.getrecursionlimit() == 1000
         ctxt = elaborated("nat.pie").context
-        deep, deeper = numeral(ctxt, 2 * _DEPTH_LIMIT), numeral(ctxt, 2 * _DEPTH_LIMIT + 1)
-        for run in (lambda: normalise(deep, ctxt), lambda: check_equal(deep, deeper, ctxt)):
-            with pytest.raises(BudgetExceeded) as err:
-                run()
-            assert str(err.value) == (
-                f"normalization exceeded the nesting depth limit of {_DEPTH_LIMIT}"
-            )
-            assert isinstance(err.value, CheckError) and err.value.budget == _DEPTH_LIMIT
-            assert err.value.diagnostic == Diagnostic("Budget", str(err.value))
+        deep, deeper = numeral(ctxt, 2 * 4000), numeral(ctxt, 2 * 4000 + 1)
+        assert alpha_eq(normalise(deep, ctxt), deep)
+        assert check_equal(deep, deeper, ctxt) is False
+        assert sys.getrecursionlimit() == 1000
 
     def test_alpha_equal_terms_convert_at_any_depth_without_evaluation(self):
-        # the syntactic check answers first: no evaluator, no frame per level
-        # and no step, so neither the depth limit nor the budget is reached
+        # the syntactic check answers first: no evaluator and no step, so
+        # not even a budget of 0 is reached
         ctxt = elaborated("nat.pie").context
-        deep = numeral(ctxt, 2 * _DEPTH_LIMIT)
+        deep = numeral(ctxt, 2 * 4000)
         assert check_equal(deep, deep, ctxt, budget=0)
-        assert check_equal(deep, numeral(ctxt, 2 * _DEPTH_LIMIT), ctxt, budget=0)
+        assert check_equal(deep, numeral(ctxt, 2 * 4000), ctxt, budget=0)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the depth limit is the process's recursion limit; it goes with "
-                              "the flat kernel (ROADMAP item 1, second half)")
     def test_overlapping_normalisations_keep_the_depth_limit(self, monkeypatch):
-        """A enters, B enters, A leaves, B leaves: B must still run under the
-        depth limit, and the recursion limit must end where it started."""
+        """A enters, B enters, A leaves, B leaves: the recursion limit B runs
+        under, and the one it ends with, are the one it started with, since
+        normalisation never changes it."""
         read_back, before, limits = _Evaluator.read_back, sys.getrecursionlimit(), []
         a_inside, b_inside, a_left = threading.Event(), threading.Event(), threading.Event()
 
@@ -180,7 +186,7 @@ class TestRecursion:
             a.join(timeout=30)
             b.join(timeout=30)
             sys.setrecursionlimit(before)
-        assert limits and limits[0] >= _DEPTH_LIMIT
+        assert limits == [before]
         assert after == before
 
     def test_add_is_linear_in_the_numerals(self):
@@ -267,6 +273,17 @@ class TestRecursion:
         t = normalise(parse_term("((λw:Set.λy:Set.(w ((λu:Set.λy:Set.u) y))) y)"), EMPTY)
         assert t.binder != Name("y") and t.body.arg.binder == Name("y")
         assert alpha_eq(t, parse_term("λz:Set.(y λy:Set.z)"))
+
+    def test_a_binder_is_renamed_only_where_it_would_capture(self):
+        # a stuck match, which the read-back closes over its environment and
+        # does not look inside, names x free under the binder x
+        t = normalise(parse_term(
+            "((λm:Set.λx:Set.(g m)) <λn:Set.Set> match z with { Zero => x })"), EMPTY)
+        assert t.binder != Name("x")
+        assert alpha_eq(t, parse_term("λy:Set.(g <λn:Set.Set> match z with { Zero => x })"))
+        # a free x read back after the binder x's scope has ended is not captured
+        kept = normalise(parse_term("(f (λx:Set.x) x)"), EMPTY)
+        assert kept.fn.arg.binder == Name("x") and kept.arg == Var(Name("x"))
 
     @pytest.mark.parametrize("body, printed", [
         # a free name in the body
@@ -380,8 +397,8 @@ class TestSteps:
 
     @pytest.mark.parametrize("run", ["normalise", "check_equal"])
     def test_recursive_calls_take_no_frames(self, run):
-        # the frames left are one per argument and scrutinee, and the
-        # read-back's one per level of the 3000-deep result
+        # no argument, scrutinee or level of the 3000-deep result takes a
+        # Python frame
         ctxt, n = elaborated("add.pie").context, 1500
         call = App(App(parse_term("add"), numeral(ctxt, n)), numeral(ctxt, n))
         if run == "normalise":

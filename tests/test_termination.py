@@ -47,6 +47,14 @@ class TestGuard:
         assert err.value.diagnostic.rule == "Guard"
         assert "escapes" in err.value.diagnostic.message
 
+    # a call's arguments are checked before its argument k is, so f (g f)
+    # reports f escaping inside the argument, as a recursive walk met it first
+    def test_a_call_reports_its_arguments_before_its_decreasing_argument(self):
+        body = deconstruct(XK, App(Var(F), App(Var(Name("g")), Var(F))))
+        with pytest.raises(CheckError) as err:
+            guard_check(F, 0, XK, frozenset(), body)
+        assert "escapes" in err.value.diagnostic.message
+
     def test_call_argument_must_be_a_variable(self):
         # f (g m) is rejected even when m is guarded
         body = deconstruct(XK, App(Var(F), App(Var(Name("g")), Var(Name("m")))))
