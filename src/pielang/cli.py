@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 
 from .context import Context
@@ -119,10 +118,8 @@ NEGATIVE_CORPUS = {
 
 
 def corpus_path(name: str, negative: bool = False) -> Path:
-    base = resources.files("pielang") / "corpus"
-    if negative:
-        base = base / "negative"
-    return Path(str(base / name))
+    base = Path(__file__).with_name("corpus")
+    return (base / "negative" if negative else base) / name
 
 
 def load_corpus() -> list[tuple[Path, str]]:

@@ -3,17 +3,18 @@
 Evaluation maps a term and an environment to a value: a closure (a term
 paired with the environment it was met in) for λ, Π, universes,
 inductives, constructors and fixpoints; or a neutral value for a stuck
-variable, application or match. `_Evaluator.eval` is one loop over a term
-and the values it is applied to. An application pushes the values of its
-arguments and goes on with its head. Beta reduction extends a closure's
-environment instead of substituting, names bound in the context unfold
-(delta), matches reduce on a constructor-headed scrutinee (iota), and a
-fixpoint unfolds only once its decreasing argument is constructor-headed;
-a name bound to a fixpoint stays that name until then. Each of these goes
-round the loop. A spine whose arguments are being evaluated, and a match
-whose scrutinee is, wait on a stack of frames, so no level of a term costs
-a Python frame. Inductives, constructors, fixpoints and the carrier and
-branches of a stuck match are not evaluated inside.
+variable, application or match. `_Evaluator.eval` is one loop: an
+application pushes its arguments' values and goes on with its head; beta
+extends a closure's environment instead of substituting, context names
+unfold (delta), matches reduce on a constructor-headed scrutinee (iota),
+and a fixpoint unfolds only once its decreasing argument is
+constructor-headed (a name bound to a fixpoint stays that name until
+then). A spine whose arguments are being evaluated, and a match whose
+scrutinee is, wait on a stack of frames, so no level of a term costs a
+Python frame. Inductives, constructors, fixpoints and the carrier and
+branches of a stuck match are not evaluated inside. One evaluator resolves
+each name the context binds once, to one shared value, and keeps the value
+of each argument it evaluates in no environment for its next occurrence.
 
 A λ or Π closure evaluates its domain, and its body under a variable of
 its own, the first time it is looked inside, and keeps both. `normalise`
@@ -30,10 +31,9 @@ stops at the first mismatch; it reads back only what evaluation does not
 look inside. When the two differ, their normal forms are read back from the
 values the comparison built. Beta, delta, iota and fixpoint unfolding each
 draw a step from a budget, so adversarial input raises BudgetExceeded
-instead of hanging the kernel. Running out of steps is the only way a
-normalisation stops short: evaluation, read-back and conversion take no
-Python frame per level of a term, so they reach any depth under the
-interpreter's own recursion limit, which nothing here changes.
+instead of hanging the kernel. Evaluation, read-back and conversion take no
+Python frame per level of a term, so running out of steps is the only way a
+normalisation stops short, and nothing here changes the recursion limit.
 """
 from __future__ import annotations
 
@@ -138,12 +138,14 @@ def _constructor(v) -> tuple[Constr | None, tuple]:
 class _Evaluator:
     """Evaluates in one context, drawing every step from one budget."""
 
-    __slots__ = ("ctxt", "budget", "remaining", "names", "scope", "captures", "taken")
+    __slots__ = ("ctxt", "budget", "remaining", "globals", "closed", "names", "scope",
+                 "captures", "taken")
 
     def __init__(self, ctxt: Context, budget: int | None):
         self.ctxt = ctxt
         self.budget = ctxt.budget if budget is None else budget
         self.remaining = self.budget
+        self.globals, self.closed = {}, {}  # see _global and eval
         # The term a closure's variable reads back as, where it is not the
         # closure's own binder name or that name has been decided on.
         self.names: dict[_VVar, Var] = {}
@@ -159,13 +161,25 @@ class _Evaluator:
         if self.remaining < 0:
             raise BudgetExceeded(self.budget)
 
+    def _global(self, x: Name):
+        """The value of x where no environment binds it, kept in `globals`: a variable
+        for a fixpoint or no value, a closure for another closed term, else a def's term."""
+        value = self.ctxt.lookup_val(x)
+        g = self.globals[x] = (_VVar(Var(x), value) if value is None or type(value) is Fix
+                               else _Closure(value, {}) if type(value) in _CLOSED_TERMS else value)
+        return g
+
     def eval(self, t: Term, env: dict, args: tuple = ()):
-        """The value of t in env applied to the values args. A spine waiting
-        for the value of its next argument, and a match waiting for the value
-        of its scrutinee, wait as frames on a stack, not as Python frames."""
-        waiting = []
+        """The value of t in env applied to the values args. A spine waiting for
+        its next argument's value, and a match for its scrutinee's, wait as frames
+        on a stack, not as Python frames. An argument evaluated in no environment
+        keeps its value in `closed`, by id, beside the term, which keeps the id."""
+        waiting, closed, resolved = [], self.closed, self.globals
         while True:
             while True:  # the value f at the head of t
+                if not env and (kept := closed.get(id(t))) is not None:
+                    f = kept[1]
+                    break
                 kind = type(t)
                 if kind is Match or kind is App and type(t.fn) is not App:
                     # a match waits for its scrutinee's value, an application for its argument's
@@ -177,14 +191,14 @@ class _Evaluator:
                     t, args = terms[0], ()
                 elif kind is Var:
                     f = env.get(t.name) if env else None
-                    if f is not None:
-                        break
-                    value = self.ctxt.lookup_val(t.name)
-                    if value is None or type(value) is Fix:
-                        f = _VVar(t, value)
-                        break
-                    self.tick()
-                    t, env = value, {}
+                    if f is None:
+                        f = resolved.get(t.name) or self._global(t.name)
+                        if type(f) is not _VVar:  # a delta step
+                            self.tick()
+                            if type(f) is not _Closure:
+                                t, env = f, {}
+                                continue
+                    break
                 elif kind in _CLOSED_TERMS:
                     f = _Closure(t, env)
                     break
@@ -205,8 +219,8 @@ class _Evaluator:
                         env = {} if type(f) is _VVar else f.env
                         # stuck recursive calls keep the name the context binds to this
                         # fixpoint, so they compare equal to calls written with it
-                        itself = (_VVar(Var(fix.name), fix) if self.ctxt.lookup_val(fix.name) is fix
-                                  else _Closure(fix, env))
+                        g = resolved.get(fix.name) or self._global(fix.name)
+                        itself = g if type(g) is _VVar and g.fix is fix else _Closure(fix, env)
                         t, env = fix.body, {**env, fix.name: itself}
                         break
                     f, args = _VApp(f, args), ()
@@ -214,8 +228,11 @@ class _Evaluator:
                     return f
                 frame = waiting[-1]
                 if type(frame) is list:  # a spine: f is the value of its next argument
-                    frame.append(f)
                     env, terms = frame[1], frame[3]
+                    if not env:
+                        a = terms[len(frame) - 4]
+                        closed[id(a)] = a, f
+                    frame.append(f)
                     if len(frame) - 4 < len(terms):
                         t, args = terms[len(frame) - 4], ()
                     else:
@@ -225,6 +242,8 @@ class _Evaluator:
                 waiting.pop()
                 t, env, args = frame
                 if type(t) is App:  # f is the value of its argument
+                    if not env:
+                        closed[id(t.arg)] = t.arg, f
                     t, args = t.fn, (f, *args)
                     break
                 c, c_args = _constructor(f)  # t is a match, and f the value of its scrutinee

@@ -9,7 +9,7 @@ substitution skips every subterm that does not mention the substituted name.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -60,32 +60,54 @@ class Term:
 
     __slots__ = ("_free_vars",)
 
-    def __reduce__(self):  # a copy is rebuilt by __init__, with an empty memo
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
+# The methods every sealed class shares, as a frozen dataclass would make them:
+# they read its compared fields through `_compared` and its shown ones in `_shown`.
 
 def _refuse(self, name, *value):
     raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
 
 
+def _eq(self, other):
+    if type(other) is not type(self):
+        return NotImplemented
+    return self._compared(self) == other._compared(other)
+
+
+def _hash(self):
+    return hash(self._compared(self))
+
+
+def _repr(self):
+    return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._shown)})"
+
+
+def _reduce(self):  # a copy is rebuilt by __init__, with an empty memo
+    return type(self), tuple([getattr(self, f) for f in self.__match_args__])
+
+
 def _sealed(cls):
-    """cls as a frozen dataclass with slots whose __init__ writes each slot by its
-    descriptor, not by object.__setattr__; a slot that is no field starts as None.
-    Setting or deleting any name raises FrozenInstanceError; dataclass's own
-    methods raise TypeError for a non-field, as their super() names cls, not sealed.
+    """cls as a dataclass with slots that generates no method: it gets the shared
+    ones above, and an __init__ that writes each slot by its descriptor, not by
+    object.__setattr__; a slot that is no field starts as None. Setting or
+    deleting any name raises FrozenInstanceError.
     A term's span slot may hold the plain token tuple the parser read the term
     from, which no collection tracks once it has seen it; reading `span` makes
     the SourceSpan, so a span is built only for a term whose span is read."""
-    sealed = dataclass(frozen=True, slots=True)(cls)
+    sealed = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
     sealed.__setattr__ = sealed.__delattr__ = _refuse
+    sealed.__eq__, sealed.__hash__, sealed.__repr__, sealed.__reduce__ = _eq, _hash, _repr, _reduce
     if cls.__base__ is Term:  # a base of Term's layout, so Term.__subclasses__() lists sealed
         cls.__bases__ = (type("Replaced", (), {"__slots__": Term.__slots__}),)
-    params = [f.name for f in fields(sealed)]
+    fs = fields(sealed)
+    sealed._compared = attrgetter(*[f.name for f in fs if f.compare])
+    sealed._shown = tuple(f.name for f in fs if f.repr)
+    params = [f.name for f in fs]
     slots = [*params, *getattr(sealed.__base__, "__slots__", ())]
     setters = {f"set_{s}": getattr(sealed, s).__set__ for s in slots}
     writes = "".join(f"\n set_{s}(self, {s if s in params else None})" for s in slots)
     exec(f"def __init__(self, {', '.join(params)}):{writes}", setters)
-    setters["__init__"].__defaults__ = sealed.__init__.__defaults__
+    setters["__init__"].__defaults__ = tuple(f.default for f in fs if f.default is not MISSING)
     sealed.__init__ = setters["__init__"]
     if issubclass(sealed, Term):
         slot = sealed.span.__get__
@@ -473,63 +495,102 @@ def alpha_eq(a: Term, b: Term) -> bool:
 # ---------------------------------------------------------------------------
 
 def pretty(t: Term) -> str:
-    """t as text. A λ or Π body and a spine's last argument are printed by
-    the loop, not by a call, so a chain of them prints at any depth. A binder,
-    a variable domain and a variable leaf are written inline, with no call:
-    a name from source text is its text."""
-    parts, closing = [], 0
+    """t as text, in one loop and no call per level. The term in hand is
+    printed down its λ and Π bodies and its spines' last arguments; what is
+    left to print after it waits on a stack as a term, as text, or as a count
+    of closing parentheses. A binder, a variable domain, a spine of variables
+    before its last argument and a variable leaf are written inline: a name
+    from source text is its text."""
+    if type(t) is Var:  # the commonest type, and a leaf
+        t = t.name
+        return t.text if t.fresh_tag == 0 else str(t)
+    out, todo = [], []
     while True:
         kind = type(t)
         if kind is App:
+            if todo and type(todo[-1]) is int:  # its ")" goes just before the one waiting
+                todo[-1] += 1
+            else:
+                todo.append(1)
+            if type(t.fn) is Var:  # one argument, after a variable
+                x = t.fn.name
+                out.append(f"({x.text if x.fresh_tag == 0 else x} ")
+                t = t.arg
+                continue
             head, args = spine(t)
-            parts.append(f"({' '.join(map(pretty, (head, *args[:-1])))} ")
-            closing += 1
-            t = t.arg
+            t = args.pop()
+            if type(head) is Var and all([type(a) is Var for a in args]):
+                out.append(f"({' '.join([str(a.name) for a in (head, *args)])} ")
+            else:  # the head in hand, and the arguments waiting in turn
+                out.append("(")
+                todo.append(t)
+                for a in reversed(args):
+                    todo += " ", a
+                todo.append(" ")
+                t = head
         elif kind is Lam or kind is Pi:
             x, domain = t.binder, t.domain
             if type(domain) is Var:
                 domain = domain.name
                 domain = domain.text if domain.fresh_tag == 0 else str(domain)
-            else:
-                domain = _atom(domain)
-            if kind is Pi and x.fresh_tag != 0 and x not in free_vars(t.body):
-                parts.append(f"{domain} -> ")
-            else:
-                x = x.text if x.fresh_tag == 0 else str(x)
-                parts.append(f"{'λ' if kind is Lam else 'Π'}{x}:{domain}.")
-            t = t.body
-        else:
+                if kind is Pi and x.fresh_tag != 0 and x not in free_vars(t.body):
+                    out.append(f"{domain} -> ")
+                else:
+                    x = x.text if x.fresh_tag == 0 else str(x)
+                    out.append(f"{'λ' if kind is Lam else 'Π'}{x}:{domain}.")
+                t = t.body
+            else:  # the domain in hand, parenthesized where it would not reparse
+                arrow = kind is Pi and x.fresh_tag != 0 and x not in free_vars(t.body)
+                wrap = type(domain) in (Lam, Pi, Match, Fix)
+                out.append(("" if arrow else f"{'λ' if kind is Lam else 'Π'}{x}:") + "(" * wrap)
+                todo += t.body, ")" * wrap + (" -> " if arrow else ".")
+                t = domain
+        elif kind is Match:
+            out.append("<")
+            todo.append(" }")
+            for i in reversed(range(len(t.branches))):
+                n, e = t.branches[i]
+                todo += e, f"{'; ' if i else ''}{n} => "
+            todo += " with { ", t.scrutinee, "> match "
+            t = t.carrier
+        elif kind is Fix:
+            out.append(f"(fix {t.name}[{t.dec_index}] : ")
+            todo += 1, t.body, ". "
+            t = t.signature
+        elif kind is Constr and not (type(ind := t.inductive) is Ind
+                                     and 1 <= t.index <= len(ind.constructors)):
+            out.append(f"Constr({t.index},")
+            todo.append(1)
+            t = ind
+        else:  # a leaf: then what waits, up to the next term
             if kind is Var:
-                leaf = t.name
-                leaf = leaf.text if leaf.fresh_tag == 0 else str(leaf)
+                t = t.name
+                t = t.text if t.fresh_tag == 0 else str(t)
             else:
-                leaf = _leaf(t)
-            return "".join(parts) + leaf + ")" * closing if parts else leaf
+                t = _leaf(t)
+            if not todo:
+                return "".join(out) + t if out else t
+            out.append(t)
+            while todo:
+                t = todo.pop()
+                if type(t) is str:
+                    out.append(t)
+                elif type(t) is int:
+                    out.append(")" * t)
+                else:
+                    break
+            else:
+                return "".join(out)
 
 
 def _leaf(t: Term) -> str:
     match t:
-        case Ind(name=n):  # pretty writes a variable itself
+        case Ind(name=n):
             return str(n)
         case Universe(level=0):
             return "Set"
         case Universe(level=i):
             return f"(Type {i})"
-        case Constr(index=i, inductive=ind):
-            if isinstance(ind, Ind) and 1 <= i <= len(ind.constructors):
-                return str(ind.constructors[i - 1][0])
-            return f"Constr({i},{pretty(ind)})"
-        case Match(carrier=c, scrutinee=s, branches=bs):
-            body = "; ".join(f"{n} => {pretty(e)}" for n, e in bs)
-            return f"<{pretty(c)}> match {pretty(s)} with {{ {body} }}"
-        case Fix(name=n, dec_index=k, signature=sig, body=b):
-            return f"(fix {n}[{k}] : {pretty(sig)}. {pretty(b)})"
+        case Constr(index=i, inductive=ind):  # a constructor pretty names
+            return str(ind.constructors[i - 1][0])
     raise TypeError(f"not a term: {t!r}")
-
-
-def _atom(t: Term) -> str:
-    """Parenthesize terms that would not reparse in domain position."""
-    s = pretty(t)
-    if isinstance(t, (Lam, Pi, Match, Fix)):
-        return f"({s})"
-    return s

@@ -327,6 +327,15 @@ class TestDepth:
         assert report.exit_code == 0
         assert report.lines() == ["d340 ~> " + "(Succ " * 340 + "Zero" + ")" * 340]
 
+    # pretty prints a Π domain, as it prints everything, from its stack of what
+    # is left to print, so a domain nested 3000 deep prints as it was written
+    def test_a_deeply_nested_domain_prints_at_the_default_recursion_limit(self):
+        assert sys.getrecursionlimit() == 1000
+        arrows = "(" * 3000 + "A" + " -> A)" * 3000 + " -> A"
+        report = check_source(f"Axiom A : Set;\nAxiom d : {arrows};")
+        assert report.exit_code == 0
+        assert report.lines(dump_types=True)[-1] == f"d : {arrows}"
+
 
 class TestMain:
     def test_exit_zero_on_success(self, capsys):

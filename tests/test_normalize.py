@@ -363,7 +363,10 @@ class TestSteps:
         # the argument is evaluated though the λ discards it
         (None, "((λx:Set.B) ((λz:Set.z) A))", 2),
         ("add.pie", "<λm:Nat.Nat> match ((λy:Nat.y) n) with { Zero => two; Succ => λp:Nat.p }", 1),
-    ], ids=["add", "stuck add", "next_weekday", "anonymous fix", "discarded argument", "stuck match"])
+        # substitution puts one argument object at both places, evaluated once
+        (None, subst(Name("n"), parse_term("((λz:Set.z) A)"), parse_term("(P n n)")), 1),
+    ], ids=["add", "stuck add", "next_weekday", "anonymous fix", "discarded argument", "stuck match",
+            "shared argument"])
     def test_least_budget(self, file, term, steps):
         ctxt = (elaborated(file).context if file else EMPTY).extend_type(Name("n"), parse_term("Nat"))
         term = parse_term(term) if isinstance(term, str) else term
@@ -585,6 +588,56 @@ class TestConversionSteps:
         copy = renamed_apart(t)
         assert check_equal(t, copy, ctxt, budget=0)
         assert check_equal(copy, t, ctxt, budget=0)
+
+
+# the binder fragment over add.pie's names, so that arguments unfold and reduce
+add_lambda_terms = st.recursive(
+    st.one_of(st.sampled_from(("a", "x", "y", "Zero", "Succ", "add", "two")).map(
+        lambda text: Var(Name(text))), st.just(SET)),
+    lambda children: st.one_of(st.builds(App, children, children),
+                               st.builds(Lam, names, children, children),
+                               st.builds(Pi, names, children, children)),
+    max_leaves=10,
+)
+
+
+class TestSharing:
+    """An evaluation keeps the value of each term object it evaluates in no
+    environment, and of each name the context binds, for itself alone."""
+
+    @pytest.mark.parametrize("strategy, file", [(lambda_terms, None), (add_lambda_terms, "add.pie")],
+                             ids=["lambda_terms", "add_lambda_terms"])
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_a_shared_argument_takes_no_more_steps_than_a_copy_per_occurrence(
+            self, strategy, file, data):
+        # subst puts one object at every occurrence; the reparse of its
+        # printed form has a copy at each
+        ctxt = elaborated(file).context if file else EMPTY
+        x, body, arg = data.draw(names), data.draw(strategy), data.draw(strategy)
+        shared = subst(x, arg, body)
+        copies = parse_term(pretty(shared))
+        budget = least_budget_within(lambda n: normalise(copies, ctxt, n))
+        assert alpha_eq(normalise(shared, ctxt, budget), normalise(copies, ctxt, budget))
+
+    def test_one_term_in_two_contexts_has_each_contexts_normal_form(self):
+        # d is a universe in one context and a def of A in the other; the same
+        # term object, evaluated in each in turn, reads d each time afresh
+        t = parse_term("(P d d)")
+        contexts = {"(P Set Set)": EMPTY.declare(Name("d"), Universe(1), SET),
+                    "(P A A)": EMPTY.declare(Name("d"), SET, Var(Name("A")))}
+        for _ in range(2):
+            for normal, ctxt in contexts.items():
+                assert alpha_eq(normalise(t, ctxt), parse_term(normal))
+                assert check_equal(t, parse_term(normal), ctxt)
+                assert not check_equal(t, parse_term("(P B B)"), ctxt)
+        # one object y, free in one place and bound by a λ in the other, in
+        # either order of evaluation, is read in each place's own scope
+        y, (P, Q, S, B) = Var(Name("y")), (Var(Name(text)) for text in "PQSB")
+        inside = App(Lam(Name("y"), SET, apply_spine(Q, [y, App(S, y)])), B)
+        for t, normal in ((apply_spine(P, [y, Lam(Name("y"), SET, y)]), "(P y λy:Set.y)"),
+                          (apply_spine(P, [inside, y]), "(P (Q B (S B)) y)")):
+            assert alpha_eq(normalise(t, EMPTY), parse_term(normal))
 
 
 class TestBeta:
