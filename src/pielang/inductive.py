@@ -92,7 +92,7 @@ def check_ind(ctxt: Context, ind: Ind) -> list[Diagnostic]:
 def register_inductive(ctxt: Context, decl) -> tuple[Context, list[Diagnostic]]:
     """Check a source-level inductive declaration and bind the type name and
     every constructor name in the returned context."""
-    node = Ind(decl.name, decl.arity, tuple(decl.constructors), span=decl.span)
+    node = Ind(decl.name, decl.arity, tuple(decl.constructors), decl.kept_span)
     warnings = check_ind(ctxt, node)
     ctxt = ctxt.declare(decl.name, decl.arity, node)
     for i, (cname, ctype) in enumerate(node.constructors, start=1):

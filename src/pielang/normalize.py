@@ -114,8 +114,10 @@ class _VMatch:
         self.term, self.scrutinee, self.env = term, scrutinee, env
 
 
+# what a bare name may be unfolded to before a comparison: each evaluates to itself
+_INERT = (Universe, Ind, Constr)
 # terms that evaluate to themselves paired with their environment
-_CLOSED_TERMS = (Lam, Pi, Universe, Ind, Constr, Fix)
+_CLOSED_TERMS = (Lam, Pi, Fix, *_INERT)
 
 # the steps of a read-back, besides a value to read back
 _APPLY, _CLOSE, _NAME, _BIND, _MATCH, _SUBST = "apply", "close", "name", "bind", "match", "subst"
@@ -426,7 +428,7 @@ def _unfold_inert(t: Term, ctxt: Context) -> Term:
     bound to a def, whose value is worth comparing only once evaluated."""
     if type(t) is Var:
         value = ctxt.lookup_val(t.name)
-        if type(value) in (Universe, Ind, Constr):
+        if type(value) in _INERT:
             return value
     return t
 

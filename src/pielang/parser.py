@@ -19,20 +19,25 @@ Grammar (fixed from the surface forms the corpus uses):
 other run of non-delimiter characters (so `⊃` is a name), and lines starting
 with `--` are skipped. An arrow is a Π whose binder no source name spells:
 each parse numbers its arrows x'1, x'2, ... in the order they close.
-The scanner runs `findall` over bounded windows of each line, and makes each
-token, a plain tuple of `Token`'s fields, only as the parser reads it. An
-expression is read in one loop over an explicit stack, so no nesting depth
-overflows Python's stack. The parser imports no typing module:
-`typecheck.elaborate` makes a recursive def a fixpoint.
+The scanner blanks comment lines, cuts the source into bounded windows and runs
+one `findall` per window; it makes each token, a plain tuple of its kind, its
+text and where to find it, only as the parser reads it, and the token's line
+and columns only when its span is read. A term or declaration keeps the
+token it was read from as its span. An expression is read in one loop over an
+explicit stack, so no nesting depth overflows Python's stack. The parser
+imports no typing module: `typecheck.elaborate` makes a recursive def a
+fixpoint.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from typing import Iterator, NamedTuple
 
 from .diagnostics import fail
-from .syntax import App, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var, _sealed, token_span
+from .syntax import (App, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var, _sealed, _TEXT,
+                     _token_span)
 
 
 @_sealed
@@ -82,60 +87,82 @@ class Token(NamedTuple):
     col: int  # of the first character, 1-based
     end: int  # column of the last character
 
-    span = property(token_span)  # by index, so that it reads the parser's plain tuples too
+    span = property(lambda tok: SourceSpan(tok.line, tok.col, tok.line, tok.end))
 
 
-# Every character but whitespace starts a token, so the positions a token
-# skips are exactly the whitespace before it (`\s` is `str.isspace`). Two-character
-# punctuation comes first; a word holds no punctuation character.
-_TOKEN = re.compile(r"(\s*)(->|=>|:=|[(){}<>;,.:|λΠ→=-]|[^\s(){}<>;,.:|=λΠ→-]+)")
+# A comment line, blanked to spaces, so that every offset and newline stays.
+_COMMENT = re.compile(r"^[^\S\n]*--.*", re.MULTILINE)
 # A scan window ends just after whitespace or an ASCII one-character token,
 # which no longer token holds, at least _WIDTH characters after it starts.
 _CUT = re.compile(r"[\s(){}<>;,.|]")
 _WIDTH = 512
 
-# The kind, and value, of every fixed text: punctuation, arrows and keywords.
-_KINDS = {t: t for t in ("->", "=>", ":=", *"(){}<>;,.:|λΠ", "Axiom", "def", "Inductive", "match",
+# The kind of every fixed text: punctuation, arrows and keywords. A fixed
+# token's value is its kind ('→' reads as '->'), and any other token's its text.
+_FIXED = {t: t for t in ("->", "=>", ":=", *"(){}<>;,.:|λΠ", "Axiom", "def", "Inductive", "match",
                          "with", "Set", "Prop", "Type", "lam", "Pi")} | {"→": "->"}
 
 # a '-' not before '>', and a '=' neither before '>' nor in ':=', start no token
-_STRAY = re.compile(r"[-=](?!>)")
+_STRAY = re.compile(r"[-=](?<!:=)(?!>)")
 _STRAY_MESSAGES = {"-": "stray '-' (expected '->')", "=": "stray '=' (expected '=>' or ':=')"}
 
 
+class _Kinds(dict):
+    """The kind of each text scanned so far, the fixed ones to start with."""
+
+    def __missing__(self, text: str) -> str:
+        # isdecimal, not isdigit: int() rejects '²', which is a name
+        kind = self[text] = "number" if text.isdecimal() else "name"
+        return kind
+
+
+def _shown(tok: tuple) -> str:
+    """How a report names a token: by its value, or 'eof'."""
+    return _FIXED.get(tok[1], tok[1]) or tok[0]
+
+
 def _tokens(source: str) -> Iterator[tuple]:
-    """The tokens of source as plain tuples, made as they are read. The first such
-    stray '-' or '=' outside comment lines is reported first, to win over earlier errors."""
-    at = 0
-    while (m := _STRAY.search(source, at)) is not None:
+    """The tokens of source, each a plain tuple (kind, text, scanned source,
+    window start, index in window) that `_token_span` places, made in C as
+    they are read. The first stray '-' or '=' outside comment lines is
+    reported here, to win over earlier errors."""
+    if "--" in source:
+        source = _COMMENT.sub(lambda comment: " " * len(comment[0]), source)
+    if (m := _STRAY.search(source)) is not None:
         at = m.end()
-        line_start = source.rfind("\n", 0, at) + 1
-        stray = m[0] == "-" or source[at - 2:at] != ":="
-        if stray and not source[line_start:at + 1].lstrip().startswith("--"):  # a comment line
-            line, col = source.count("\n", 0, at) + 1, at - line_start
-            fail("Parse", _STRAY_MESSAGES[m[0]], SourceSpan(line, col, line, col))
-    findall, cut, kinds = _TOKEN.findall, _CUT.search, _KINDS
-    lines = source.split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        if line.lstrip().startswith("--"):
-            continue
-        start = col = 0
-        while start < len(line):
-            end = m.end() if (m := cut(line, start + _WIDTH)) else len(line)
-            for gap, text in findall(line, start, end):
-                first, col = col + len(gap) + 1, col + len(gap) + len(text)
-                if (kind := kinds.get(text)) is not None:
-                    text = kind  # '→' reads as '->'
-                else:  # isdecimal, not isdigit: int() rejects '²', which is a name
-                    kind = "number" if text.isdecimal() else "name"
-                yield kind, text, lineno, first, col
-            start = col = end
-    end = len(lines[-1]) + 1
-    yield "eof", "", len(lines), end, end
+        line, col = source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at) - 1
+        fail("Parse", _STRAY_MESSAGES[m[0]], SourceSpan(line, col, line, col))
+    eof = ("eof", "", source, len(source), 0)
+    return chain(chain.from_iterable(_windows(source)), (eof,))
+
+
+def _windows(source: str) -> Iterator[Iterator[tuple]]:
+    """The tokens of each window of source in turn, one findall per window."""
+    findall, cut, kind_of = _TEXT.findall, _CUT.search, _Kinds(_FIXED).__getitem__
+    start, size = 0, len(source)
+    while start < size:
+        end = m.end() if (m := cut(source, start + _WIDTH)) else size
+        texts = findall(source, start, end)
+        yield zip(map(kind_of, texts), texts, repeat(source), repeat(start), count())
+        start = end
 
 
 def tokenize(source: str) -> list[Token]:
-    return list(map(Token._make, _tokens(source)))
+    """The tokens of source with their lines and columns, for tests and tools:
+    those `_tokens` makes, each placed as `_token_span` places it, in one more
+    scan of each window and one walk over the source."""
+    tokens: list[Token] = []
+    line, line_start, last = 1, 0, 0
+    for kind, text, scanned, start, i in _tokens(source):
+        if i == 0:
+            places = _TEXT.finditer(scanned, start)
+        at, end = next(places).span() if kind != "eof" else (len(scanned), len(scanned) + 1)
+        line += scanned.count("\n", last, at)
+        line_start = scanned.rfind("\n", last, at) + 1 or line_start
+        last = at
+        tokens.append(Token(kind, _FIXED.get(text, text), line, at - line_start + 1,
+                            end - line_start))
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -169,34 +196,35 @@ class _Parser:
     def expect(self, kind: str) -> tuple:
         tok = self.tok
         if tok[0] != kind:
-            fail("Parse", f"expected '{kind}', found '{tok[1] or tok[0]}'", token_span(tok))
+            fail("Parse", f"expected '{kind}', found '{_shown(tok)}'", _token_span(tok))
         self.tok = next(self.rest, tok)  # eof, the last token, repeats
         return tok
 
-    def name(self, seen=(), what: str = "") -> tuple[Name, SourceSpan]:
-        """A name, which must not be one of seen, the names of earlier `what`s."""
+    def name(self, seen=(), what: str = "") -> tuple[Name, tuple]:
+        """A name, which must not be one of seen, the names of earlier `what`s,
+        and the token it was read from."""
         tok = self.tok if self.tok[0] == "name" else self.expect("name")  # which fails
         self.tok = next(self.rest, tok)
         if (name := self.names[tok[1]]) in seen:
-            fail("Parse", f"duplicate {what} {name}", token_span(tok))
-        return name, token_span(tok)
+            fail("Parse", f"duplicate {what} {name}", _token_span(tok))
+        return name, tok
 
     def program(self, source_name: str) -> Program:
         decls: list[Decl] = []
         while self.tok[0] != "eof":
             decls.append(self.decl())
             if self.tok[0] not in (";", "eof"):
-                fail("Parse", "expected ';' between declarations", token_span(self.tok))
+                fail("Parse", "expected ';' between declarations", _token_span(self.tok))
             self.tok = next(self.rest, self.tok)
         return Program(decls, source_name)
 
     def decl(self) -> Decl:
         """A declaration, read by its form in _FORMS, each fixed token in place."""
         if (tok := self.tok)[0] not in _FORMS:
-            fail("Parse", f"expected a declaration, found '{tok[1] or tok[0]}'", token_span(tok))
+            fail("Parse", f"expected a declaration, found '{_shown(tok)}'", _token_span(tok))
         self.tok = next(self.rest, tok)
         record, form = _FORMS[tok[0]]
-        name, span = self.name()
+        name, kept = self.name()  # the declaration keeps its name's token as its span
         parts = []
         for part in form:
             if (tok := self.tok)[0] == part:
@@ -214,7 +242,7 @@ class _Parser:
                 parts.append(tuple(pairs.items()))
             else:
                 self.expect(part)  # which fails
-        return record(name, *parts, span)
+        return record(name, *parts, kept)
 
     def expr(self) -> Term:
         """One expression, read in one loop over a stack of the constructs open
@@ -256,12 +284,12 @@ class _Parser:
                         number, ahead = ahead, next(rest, ahead)
                         # by default str() writes at most 4300 digits, and typing prints level + 1
                         if len(number[1]) >= 4300:
-                            fail("Parse", "universe level has too many digits", token_span(number))
+                            fail("Parse", "universe level has too many digits", _token_span(number))
                         level = int(number[1])
                     term = Universe(level, tok)
                 else:
-                    fail("Parse", f"expected an expression, found '{tok[1] or kind}'",
-                         token_span(tok))
+                    fail("Parse", f"expected an expression, found '{_shown(tok)}'",
+                         _token_span(tok))
             elif ahead[0] == "->":  # only an atom can end just before '->'
                 stack.append(("->", ahead, term))
                 ahead = next(rest, ahead)
@@ -316,18 +344,18 @@ class _Parser:
                 leading.append(carrier)
                 carrier = carrier.body
             for pi in reversed(leading):
-                carrier = Lam(pi.binder, pi.domain, carrier, pi.span)
+                carrier = Lam(pi.binder, pi.domain, carrier, pi.kept_span)
             return Match(carrier, scrutinee, tuple(branches.items()), start)
         if self.tok[0] == "(":
             self.expect("(")
-            cname, cspan = self.name()
+            cname, ctok = self.name()
             while self.tok[0] == "name":  # argument names are ignored
                 self.expect("name")
             self.expect(")")
         else:
-            cname, cspan = self.name()
+            cname, ctok = self.name()
         if cname in branches:
-            fail("Parse", f"duplicate branch for constructor {cname}", cspan)
+            fail("Parse", f"duplicate branch for constructor {cname}", _token_span(ctok))
         self.expect("=>")
         stack.append(("=>", start, carrier, scrutinee, branches, cname))
         return None
@@ -362,6 +390,6 @@ def desugar_def(d: DefDecl) -> tuple[Term, Term]:
     declared: Term = d.result_type
     value: Term = d.body
     for pname, ptype in reversed(d.params):
-        declared = Pi(pname, ptype, declared, d.span)
-        value = Lam(pname, ptype, value, d.span)
+        declared = Pi(pname, ptype, declared, d.kept_span)
+        value = Lam(pname, ptype, value, d.kept_span)
     return declared, value

@@ -5,11 +5,15 @@ Terms are immutable, slotted dataclasses. Binding is name-based; substitution
 avoids capture by renaming a binder to its text with a tag free in the terms
 in play. Each node computes its free names once and keeps them in a slot, so
 substitution skips every subterm that does not mention the substituted name.
+A node the parser builds keeps the token it was read from as its span, and
+the token's line and columns are found only when its `span` is read.
 """
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -24,10 +28,22 @@ class SourceSpan(NamedTuple):
         return f"{self.start_line}:{self.start_col}"
 
 
-def token_span(tok: tuple) -> SourceSpan:
-    """The span of a token laid out as `parser.Token`, a plain tuple:
-    (kind, text, line, first column, last column)."""
-    return tuple.__new__(SourceSpan, (tok[2], tok[3], tok[2], tok[4]))  # skips its __new__
+# The text of one token: two-character punctuation first; a word holds no
+# punctuation character. `parser` scans with it, and `_token_span` finds a kept
+# token's place with it again.
+_TEXT = re.compile(r"->|=>|:=|[(){}<>;,.:|λΠ→=-]|[^\s(){}<>;,.:|=λΠ→-]+")
+
+
+def _token_span(tok: tuple) -> SourceSpan:
+    """The span of a token the parser keeps, a plain tuple (kind, text, scanned
+    source, window start, index in window), found by scanning its window again
+    up to it. The end of file has no text, and sits just past the last character."""
+    source, start, i = tok[2], tok[3], tok[4]
+    m = next(islice(_TEXT.finditer(source, start), i, None), None)
+    at, end = m.span() if m is not None else (len(source), len(source) + 1)
+    line_start = source.rfind("\n", 0, at) + 1
+    line = source.count("\n", 0, line_start) + 1
+    return SourceSpan(line, at - line_start + 1, line, end - line_start)
 
 
 class Name(NamedTuple):
@@ -90,10 +106,14 @@ def _sealed(cls):
     """cls as a dataclass with slots that generates no method: it gets the shared
     ones above, and an __init__ that writes each slot by its descriptor, not by
     object.__setattr__; a slot that is no field starts as None. Setting or
-    deleting any name raises FrozenInstanceError.
-    A term's span slot may hold the plain token tuple the parser read the term
-    from, which no collection tracks once it has seen it; reading `span` makes
-    the SourceSpan, so a span is built only for a term whose span is read."""
+    deleting any name raises FrozenInstanceError. A class with no docstring
+    gets a short one, which dataclass would make by inspect.signature.
+    A span slot may hold the plain token tuple the parser read the node from,
+    which no collection tracks once it has seen it; reading `span` places the
+    token and makes the SourceSpan, so a span is built only where it is read.
+    `kept_span` reads the slot as it is, to give a new node the same span."""
+    if cls.__doc__ is None:
+        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
     sealed = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
     sealed.__setattr__ = sealed.__delattr__ = _refuse
     sealed.__eq__, sealed.__hash__, sealed.__repr__, sealed.__reduce__ = _eq, _hash, _repr, _reduce
@@ -109,12 +129,13 @@ def _sealed(cls):
     exec(f"def __init__(self, {', '.join(params)}):{writes}", setters)
     setters["__init__"].__defaults__ = tuple(f.default for f in fs if f.default is not MISSING)
     sealed.__init__ = setters["__init__"]
-    if issubclass(sealed, Term):
+    if "span" in params:
+        sealed.kept_span = sealed.span  # the slot's own descriptor, under a second name
         slot = sealed.span.__get__
 
         def span(self) -> SourceSpan | None:
             kept = slot(self)
-            return token_span(kept) if type(kept) is tuple else kept
+            return _token_span(kept) if type(kept) is tuple else kept
         sealed.span = property(span)
     return sealed
 

@@ -226,35 +226,35 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
     result = ElabResult(ctxt)
     top_level: set[Name] = {b.name for b in ctxt.bindings}
 
-    def claim(name: Name, span) -> None:
+    def claim(name: Name) -> None:  # a failure gets the declaration's span below
         if name in top_level:
-            fail("Parse", f"duplicate top-level name {name}", span)
+            fail("Parse", f"duplicate top-level name {name}")
         top_level.add(name)
 
     for decl in program.decls:
         try:
             match decl:
-                case AxiomDecl(name=name, type=t, span=span):
-                    claim(name, span)
+                case AxiomDecl(name=name, type=t):
+                    claim(name)
                     ensure_universe(ctxt, t, "T-Univ", "axiom type must live in a universe", decl)
                     ctxt = ctxt.declare(name, t)
                     result.entries.append((name, t, "ok"))
-                case DefDecl(name=name, span=span):
-                    claim(name, span)
+                case DefDecl(name=name):
+                    claim(name)
                     declared, value = desugar_def(decl)
                     if occurs_free(name, value):  # recursive; a failed guard is reported first
                         k = termination.infer_fix_index(name, value)
-                        value = Fix(name, k, declared, value, span=span)
+                        value = Fix(name, k, declared, value, decl.kept_span)
                         type_check(ctxt, value)  # T-Fix: its type is declared
                     else:
                         check_def(ctxt, value, declared,
                                   f"definition {name} does not have its declared type", decl)
                     ctxt = ctxt.declare(name, declared, value)
                     result.entries.append((name, declared, "ok"))
-                case InductiveDeclSrc(name=name, span=span):
-                    claim(name, span)
+                case InductiveDeclSrc(name=name):
+                    claim(name)
                     for cname, _ in decl.constructors:
-                        claim(cname, span)
+                        claim(cname)
                     ctxt, warnings = inductive.register_inductive(ctxt, decl)
                     result.diagnostics.extend(warnings)
                     result.entries.append((name, decl.arity, "ok"))

@@ -15,6 +15,7 @@ import hashlib
 import sys
 from pathlib import Path
 
+from pielang import parser, syntax
 from pielang.cli import POSITIVE_CORPUS, check_source, load_corpus
 from pielang.parser import DefDecl, parse_program
 
@@ -67,6 +68,28 @@ def test_benchmark_inputs_report_the_pinned_digests():
     assert len(actual) == len(expected)
     for want, got in zip(expected, actual):
         assert got == want
+
+
+def test_a_check_that_succeeds_places_no_token(monkeypatch):
+    """A kept token is placed only for a report: with placing refused, every
+    accepted corpus program and every seed-1 `decls` and `deep` input checks
+    to its usual report, so no successful check computes a position."""
+    sources = [(path.name, path.read_text(encoding="utf-8")) for path, tag in load_corpus()
+               if tag == "accepts"]
+    sources += [(case.name, case.source) for name in ("decls", "deep")
+                for case in workloads.WORKLOADS[name](1)]
+
+    def reports():
+        return [(report.exit_code, report.lines(dump_types=True))
+                for report in (check_source(source, name) for name, source in sources)]
+    usual = reports()
+
+    def refuse(tok):
+        raise AssertionError(f"the position of {tok[1]!r} was computed")
+    for module in (syntax, parser):
+        monkeypatch.setattr(module, "_token_span", refuse)
+    assert reports() == usual
+    assert all(code == 0 for code, _ in usual)
 
 
 if __name__ == "__main__":

@@ -106,17 +106,43 @@ EXPRS = st.recursive(
         st.builds("<{}> match {} with {{ Z => {}; (S p) => {}; }}".format, e, e, e, e),
     ),
     max_leaves=12)
-PROGRAMS = st.lists(st.one_of(
+DECLS = st.one_of(
     st.builds("Axiom a : {};".format, EXPRS),
     st.builds("def f(x : {}) : {} {{ {} }};".format, EXPRS, EXPRS, EXPRS),
     st.builds("Inductive N : {} := | Z : {} | S : {}".format, EXPRS, EXPRS, EXPRS),
-), max_size=3).map("\n".join)
+)
+PROGRAMS = st.lists(DECLS, max_size=3).map("\n".join)
 # a well-formed program with one fragment inserted somewhere
 MUTANTS = st.builds(lambda p, at, f: p[:at] + f + p[at:], PROGRAMS, st.integers(0, 200),
                     st.sampled_from(FRAGMENTS))
 
+# fragments that start no stray '-' or '=' wherever they go, and what may separate parts
+STRAYS = ["-", "=", ">=", "-->", "--", "  -- ->\n"]
+QUIET = [f for f in FRAGMENTS if f not in STRAYS]
+GAPS = ["\n", " ", "\t", "\r\n", "\r", "\x0b", "\xa0", "\u3000", "\n-- a - b = c\n",
+        "\n  -- -> λx:A.\n", "\n\x85-- a - b := c\n"]
 
-@given(st.one_of(SOUP, PROGRAMS, MUTANTS))
+
+@st.composite
+def long_sources(draw) -> str:
+    """600 to 3000 characters, so that the scanner cuts the source into several
+    windows: token soup, or declarations, with comment lines and every kind of
+    whitespace between the parts, and maybe one fragment more (a stray, say)
+    put in anywhere."""
+    size = draw(st.integers(600, 3000))
+    parts = (st.sampled_from(QUIET + GAPS) if draw(st.booleans())
+             else st.builds(lambda decl, gap: decl.rstrip(";") + ";" + gap, DECLS,
+                            st.sampled_from(GAPS)))
+    source = ""
+    while len(source) < size:
+        source += draw(parts)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(source)))
+        source = source[:at] + draw(st.sampled_from(FRAGMENTS)) + source[at:]
+    return source[:3000]
+
+
+@given(st.one_of(SOUP, PROGRAMS, MUTANTS, long_sources()))
 @settings(max_examples=600, deadline=None)
 @example("Axiom a : (;\nAxiom b : A - B;")
 @example("Axiom N : Set; Axiom f : (N -> N) -> N → (N -> N);")
