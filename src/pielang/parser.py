@@ -21,12 +21,12 @@ with `--` are skipped. An arrow is a Π whose binder no source name spells:
 each parse numbers its arrows x'1, x'2, ... in the order they close.
 The scanner blanks comment lines, cuts the source into bounded windows and runs
 one `findall` per window; it makes each token, a plain tuple of its kind, its
-text and where to find it, only as the parser reads it, and the token's line
-and columns only when its span is read. A term or declaration keeps the
-token it was read from as its span. An expression is read in one loop over an
-explicit stack, so no nesting depth overflows Python's stack. The parser
-imports no typing module: `typecheck.elaborate` makes a recursive def a
-fixpoint.
+text, its window and its index there, only as the parser reads it, and the
+token's line and columns, from its window alone, only when its span is read.
+A term or declaration keeps the token it was read from as its span. An
+expression is read in one loop over an explicit stack, so no nesting depth
+overflows Python's stack. The parser imports no typing module:
+`typecheck.elaborate` makes a recursive def a fixpoint.
 """
 from __future__ import annotations
 
@@ -122,47 +122,40 @@ def _shown(tok: tuple) -> str:
 
 
 def _tokens(source: str) -> Iterator[tuple]:
-    """The tokens of source, each a plain tuple (kind, text, scanned source,
-    window start, index in window) that `_token_span` places, made in C as
-    they are read. The first stray '-' or '=' outside comment lines is
-    reported here, to win over earlier errors."""
+    """The tokens of source, each a plain tuple (kind, text, window, index in
+    window) that `_token_span` places, made in C as they are read. The first
+    stray '-' or '=' outside comment lines is reported here, to win over
+    earlier errors."""
     if "--" in source:
         source = _COMMENT.sub(lambda comment: " " * len(comment[0]), source)
     if (m := _STRAY.search(source)) is not None:
         at = m.end()
         line, col = source.count("\n", 0, at) + 1, at - source.rfind("\n", 0, at) - 1
         fail("Parse", _STRAY_MESSAGES[m[0]], SourceSpan(line, col, line, col))
-    eof = ("eof", "", source, len(source), 0)
-    return chain(chain.from_iterable(_windows(source)), (eof,))
+    return chain.from_iterable(_windows(source))
 
 
 def _windows(source: str) -> Iterator[Iterator[tuple]]:
-    """The tokens of each window of source in turn, one findall per window."""
+    """The tokens of each window of source in turn, one findall per window, and
+    last the end of file. Each window is (source, start, line, line start), with
+    the line and line start of its first character, counted on as it is cut."""
     findall, cut, kind_of = _TEXT.findall, _CUT.search, _Kinds(_FIXED).__getitem__
-    start, size = 0, len(source)
+    start, size, line, line_start = 0, len(source), 1, 0
     while start < size:
         end = m.end() if (m := cut(source, start + _WIDTH)) else size
         texts = findall(source, start, end)
-        yield zip(map(kind_of, texts), texts, repeat(source), repeat(start), count())
+        yield zip(map(kind_of, texts), texts, repeat((source, start, line, line_start)), count())
+        if (last := source.rfind("\n", start, end)) >= 0:
+            line, line_start = line + source.count("\n", start, last + 1), last + 1
         start = end
+    yield iter([("eof", "", (source, size, line, line_start), 0)])
 
 
 def tokenize(source: str) -> list[Token]:
     """The tokens of source with their lines and columns, for tests and tools:
-    those `_tokens` makes, each placed as `_token_span` places it, in one more
-    scan of each window and one walk over the source."""
-    tokens: list[Token] = []
-    line, line_start, last = 1, 0, 0
-    for kind, text, scanned, start, i in _tokens(source):
-        if i == 0:
-            places = _TEXT.finditer(scanned, start)
-        at, end = next(places).span() if kind != "eof" else (len(scanned), len(scanned) + 1)
-        line += scanned.count("\n", last, at)
-        line_start = scanned.rfind("\n", last, at) + 1 or line_start
-        last = at
-        tokens.append(Token(kind, _FIXED.get(text, text), line, at - line_start + 1,
-                            end - line_start))
-    return tokens
+    those `_tokens` makes, each placed by `_token_span`."""
+    return [Token(tok[0], _FIXED.get(tok[1], tok[1]), span.start_line, span.start_col, span.end_col)
+            for tok in _tokens(source) for span in (_token_span(tok),)]
 
 
 # ---------------------------------------------------------------------------

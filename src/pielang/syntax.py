@@ -35,14 +35,17 @@ _TEXT = re.compile(r"->|=>|:=|[(){}<>;,.:|λΠ→=-]|[^\s(){}<>;,.:|=λΠ→-]+"
 
 
 def _token_span(tok: tuple) -> SourceSpan:
-    """The span of a token the parser keeps, a plain tuple (kind, text, scanned
-    source, window start, index in window), found by scanning its window again
-    up to it. The end of file has no text, and sits just past the last character."""
-    source, start, i = tok[2], tok[3], tok[4]
+    """The span of a token the parser keeps, a plain tuple (kind, text, window,
+    index in window), where window is (scanned source, start, line, line start)
+    with the line and line start of the window's first character. The token is
+    found by scanning its window again up to it, so placing it reads nothing
+    before the window. The end of file has no text, and sits just past the last
+    character."""
+    (source, start, line, line_start), i = tok[2], tok[3]
     m = next(islice(_TEXT.finditer(source, start), i, None), None)
     at, end = m.span() if m is not None else (len(source), len(source) + 1)
-    line_start = source.rfind("\n", 0, at) + 1
-    line = source.count("\n", 0, line_start) + 1
+    if (last := source.rfind("\n", start, at)) >= 0:
+        line, line_start = line + source.count("\n", start, last + 1), last + 1
     return SourceSpan(line, at - line_start + 1, line, end - line_start)
 
 
@@ -98,8 +101,8 @@ def _repr(self):
     return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._shown)})"
 
 
-def _reduce(self):  # a copy is rebuilt by __init__, with an empty memo
-    return type(self), tuple([getattr(self, f) for f in self.__match_args__])
+def _reduce(self):  # a copy is rebuilt by __init__, with an empty memo and the same kept span
+    return type(self), tuple([getattr(self, f) for f in self._reduced])
 
 
 def _sealed(cls):
@@ -111,7 +114,8 @@ def _sealed(cls):
     A span slot may hold the plain token tuple the parser read the node from,
     which no collection tracks once it has seen it; reading `span` places the
     token and makes the SourceSpan, so a span is built only where it is read.
-    `kept_span` reads the slot as it is, to give a new node the same span."""
+    `kept_span` reads the slot as it is, to give a new node, or a copy, the
+    same span."""
     if cls.__doc__ is None:
         cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
     sealed = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
@@ -122,6 +126,7 @@ def _sealed(cls):
     fs = fields(sealed)
     sealed._compared = attrgetter(*[f.name for f in fs if f.compare])
     sealed._shown = tuple(f.name for f in fs if f.repr)
+    sealed._reduced = tuple("kept_span" if f == "span" else f for f in sealed.__match_args__)
     params = [f.name for f in fs]
     slots = [*params, *getattr(sealed.__base__, "__slots__", ())]
     setters = {f"set_{s}": getattr(sealed, s).__set__ for s in slots}

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import corpus_source, elaborated
 from pielang.cli import check_source, load_corpus
-from pielang.parser import tokenize
-from pielang.syntax import SourceSpan
+from pielang.parser import _tokens, tokenize
+from pielang import syntax
+from pielang.syntax import SourceSpan, _token_span
 from pielang import (
     AxiomDecl,
     CheckError,
@@ -127,6 +128,42 @@ class TestTokens:
     @pytest.mark.parametrize("path", [path for path, _ in load_corpus()], ids=lambda p: p.name)
     def test_spans_slice_back_to_the_text_in_the_corpus(self, path):
         assert_tokens_cover_lines(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("joint", ["\n", " ", "\n\n  "])
+    def test_placing_a_token_reads_nothing_before_its_window(self, joint):
+        """A token is placed from its window alone: with all the source before
+        the window blanked to one line of spaces, every token (the end of file
+        too) gets the same span, so a report's placements cost its window each,
+        not its offset."""
+        source = joint.join(f"Axiom a{i} : (B x{i} → C);" for i in range(400))
+        tokens = list(_tokens(source))
+        blanked = {}
+        for tok in tokens:
+            window = tok[2]
+            if id(window) not in blanked:
+                text, start, *rest = window
+                blanked[id(window)] = (" " * start + text[start:], start, *rest)
+            assert _token_span((*tok[:2], blanked[id(window)], tok[3])) == _token_span(tok)
+        assert len(blanked) > 10
+
+    def test_a_report_places_a_diagnostic_on_each_of_many_lines(self):
+        source = "\n".join(f"Axiom a{i} :{' ' * (i % 7)} B;" for i in range(3000))
+        report = check_source(source, "m.pie")
+        assert report.exit_code == 1
+        columns = [11 + len(str(i)) + i % 7 for i in range(3000)]
+        assert report.lines() == [f"error[T-Var] m.pie:{i + 1}:{col}: unbound variable B"
+                                  for i, col in enumerate(columns)]
+
+    def test_a_copy_keeps_its_token_unplaced(self, monkeypatch):
+        program = parse_program("Axiom A : Set; def f(x : A) : A { x }; Inductive N : Set := | Z : N")
+        nodes = [*program.decls, program.decls[-2].body]
+
+        def refuse(tok):
+            raise AssertionError(f"the position of {tok[1]!r} was computed")
+        monkeypatch.setattr(syntax, "_token_span", refuse)
+        for node in nodes:
+            for copied in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+                assert type(copied.kept_span) is tuple and copied.kept_span == node.kept_span
 
 
 class TestStreaming:
