@@ -1,27 +1,13 @@
-"""Typing of inductive definitions, constructors and dependent case matches."""
+"""The shapes that the rules for inductive definitions, constructors and
+dependent case matches check terms against: the terminal universe and the
+parameters of an arity, the allowed shapes of a constructor type, the type a
+match branch is checked against, and the type a match carrier must have.
+Nothing here types a term; the rules are in `typecheck`."""
 from __future__ import annotations
 
-from .context import Context
 from .diagnostics import Diagnostic, fail
-from .normalize import normalise
-from .syntax import (
-    App,
-    Constr,
-    Ind,
-    Match,
-    Name,
-    Pi,
-    Term,
-    Universe,
-    Var,
-    apply_spine,
-    free_vars,
-    fresh_name,
-    spine,
-    subst,
-    telescope,
-)
-from .typecheck import check, ensure_equal, ensure_universe, enter, type_check
+from .syntax import (App, Ind, Match, Name, Pi, Term, Universe, Var, apply_spine, free_vars,
+                     fresh_name, spine, subst, telescope)
 
 
 def upsilon(t: Term) -> Universe:
@@ -75,42 +61,6 @@ def positive_check(ctor_type: Term, ind_name: Name, params: int) -> list[Diagnos
     return warnings
 
 
-def check_ind(ctxt: Context, ind: Ind) -> list[Diagnostic]:
-    """Rule T-Ind: ind is well formed, so its arity is its type. Returns
-    the positivity warnings of its constructors."""
-    upsilon(ind.arity)
-    ensure_universe(ctxt, ind.arity, "T-Ind", "inductive arity is not a type")
-    params = param_count(ind.arity)
-    inner, name, *ctypes = enter(ctxt, ind.name, ind.arity, *(c for _, c in ind.constructors))
-    warnings: list[Diagnostic] = []
-    for ctype in ctypes:
-        ensure_universe(inner, ctype, "T-Ind", "constructor type does not live in a universe")
-        warnings.extend(positive_check(ctype, name, params))
-    return warnings
-
-
-def register_inductive(ctxt: Context, decl) -> tuple[Context, list[Diagnostic]]:
-    """Check a source-level inductive declaration and bind the type name and
-    every constructor name in the returned context."""
-    node = Ind(decl.name, decl.arity, tuple(decl.constructors), decl.kept_span)
-    warnings = check_ind(ctxt, node)
-    ctxt = ctxt.declare(decl.name, decl.arity, node)
-    for i, (cname, ctype) in enumerate(node.constructors, start=1):
-        ctxt = ctxt.declare(cname, subst(decl.name, node, ctype), Constr(i, node))
-    return ctxt, warnings
-
-
-def check_constr(ctxt: Context, c: Constr) -> Term:
-    ind = c.inductive
-    if not isinstance(ind, Ind):
-        fail("T-Constr", "constructor of a non-inductive term", c.span, actual=ind)
-    n = len(ind.constructors)
-    if not 1 <= c.index <= n:
-        fail("T-Constr", f"constructor index {c.index} out of bounds (1..{n})", c.span)
-    check_ind(ctxt, ind)
-    return subst(ind.name, ind, ind.constructors[c.index - 1][1])
-
-
 def case_type(ctor_type: Term, carrier: Term, ctor_term: Term) -> Term:
     """Expected type of a branch: rebind the constructor's arguments, then
     apply the carrier to the target's indices and the constructed value.
@@ -122,41 +72,6 @@ def case_type(ctor_type: Term, carrier: Term, ctor_term: Term) -> Term:
     for x, domain in reversed(binders):
         result = Pi(x, domain, result)
     return result
-
-
-def check_match(ctxt: Context, m: Match) -> Term:
-    st = normalise(type_check(ctxt, m.scrutinee), ctxt)
-    head, args = spine(st)
-    if not isinstance(head, Ind):
-        fail("T-Match", "scrutinee is not of an inductive type", m.span, actual=st)
-    params = param_count(head.arity)
-    if len(args) != params:
-        fail("T-Match", "scrutinee type does not fully apply the inductive", m.span, actual=st)
-
-    carrier_type = normalise(type_check(ctxt, m.carrier), ctxt)
-    level = _carrier_level(carrier_type, params, m)
-    expected_carrier = _expected_carrier_type(head, level)
-    ensure_equal(ctxt, carrier_type, expected_carrier, "T-Match", "carrier has the wrong type", m)
-
-    ctors = head.constructors
-    if len(m.branches) != len(ctors):
-        fail(
-            "T-Match",
-            f"match has {len(m.branches)} branches, {head.name} has {len(ctors)} constructors",
-            m.span,
-        )
-    for i, ((bname, body), (cname, ctype)) in enumerate(zip(m.branches, ctors), start=1):
-        if bname != cname:
-            fail(
-                "T-Match",
-                f"branch {i} is {bname}, expected {cname} "
-                "(branches must follow the declaration order)",
-                m.span,
-            )
-        closed = subst(head.name, head, ctype)
-        expected = case_type(closed, m.carrier, Constr(i, head))
-        check(ctxt, body, expected, "T-Match", f"branch {bname} has the wrong type", m)
-    return normalise(App(apply_spine(m.carrier, args), m.scrutinee), ctxt)
 
 
 def _carrier_level(carrier_type: Term, params: int, m: Match) -> int:

@@ -1,11 +1,11 @@
-"""Structural-recursion guard predicate and fixpoint typing."""
+"""The structural-recursion guard predicate, and the inference of a recursive
+def's decreasing argument from it. Nothing here types a term; rule T-Fix,
+which checks the guard again, is in `typecheck`."""
 from __future__ import annotations
 
-from .context import Context
 from .diagnostics import CheckError, fail
-from .syntax import BINDER, BINDING, INSIDE, OUTSIDE, App, Fix, Lam, Match, Name, Pi, Term, Var
+from .syntax import BINDER, BINDING, INSIDE, OUTSIDE, App, Lam, Match, Name, Pi, Term, Var
 from .syntax import children, free_vars, spine, telescope
-from .typecheck import check, ensure_universe, enter
 
 
 def guard_check(f: Name, k: int, xk: Name | None, guarded: frozenset[Name], e: Term) -> None:
@@ -69,23 +69,6 @@ def _guard_fix(f: Name, k: int, body: Term) -> None:
             return
         xk, body = body.binder, body.body
     guard_check(f, k, xk, frozenset(), body)
-
-
-def check_fix(ctxt: Context, fix: Fix) -> Term:
-    # a fixpoint is a recursive def, whose signature is reported as a declared type
-    ensure_universe(ctxt, fix.signature, "T-PI", "declared type must live in a universe", fix)
-    inner, f, body = enter(ctxt, fix.name, fix.signature, fix.body)
-    check(inner, body, fix.signature, "T-Fix",
-          f"fixpoint body of {fix.name} does not have the declared type", fix)
-    binders, _ = telescope(body, Lam)
-    if not 0 <= fix.dec_index < len(binders):
-        fail(
-            "T-Fix",
-            f"decreasing-argument index {fix.dec_index} out of range for {fix.name}",
-            fix.span,
-        )
-    _guard_fix(f, fix.dec_index, body)  # the kernel's check of the index elaboration inferred
-    return fix.signature
 
 
 def infer_fix_index(name: Name, body: Term) -> int:

@@ -1,4 +1,9 @@
-"""Typing rules for the core calculus and top-level elaboration. Every
+"""Typing rules for the core calculus and top-level elaboration, run as one
+machine. Each rule that types a subterm is a generator: it yields (Γ, e) and
+is sent e's type, or has the CheckError thrown into it that typing e raised,
+so it reads as the recursive rule does, while `type_check` keeps every rule
+that waits on one stack (Danvy & Nielsen, "Defunctionalization at Work",
+PPDP 2001), and no nesting of terms takes a Python frame per level. Every
 binder enters the context through `enter`, every failed conversion is
 reported by `ensure_equal`, and `elaborate` makes a recursive def a fixpoint.
 A rule names the term or declaration its report points at, `at`, and reads
@@ -10,121 +15,202 @@ from dataclasses import dataclass, field
 
 from .context import Context
 from .diagnostics import CheckError, Diagnostic, fail
+from .inductive import (_carrier_level, _expected_carrier_type, case_type, param_count,
+                        positive_check, upsilon)
 from .normalize import check_equal, mismatch, normalise
 from .parser import AxiomDecl, DefDecl, InductiveDeclSrc, desugar_def
-from .syntax import (
-    App,
-    Constr,
-    Fix,
-    Ind,
-    Lam,
-    Match,
-    Name,
-    Pi,
-    Term,
-    Universe,
-    Var,
-    _subst_all,
-    alpha_eq,
-    free_vars,
-    fresh_name,
-    occurs_free,
-    subst,
-)
-
-
-# Each frame on type_check's stack waits for the type t of one subterm:
-#   ("domain", Γ, e)       of the domain of e, a λ or Π, in Γ;
-#   ("λ", x, T)            of the body of λx:T;
-#   ("Π", Γ', u, e)        of the body of e, a Π whose domain has type u, a universe, in Γ';
-#   ("app", Γ, apps, tf, sigma, domain)
-#                          of a spine's head if tf is None, else of the argument of
-#                          apps[-1], whose domain is domain (tf's, under sigma).
-_BINDER_RULES = {Lam: ("T-Abs", "lambda domain is not a type"),
-                 Pi: ("T-PI", "Pi domain is not a type")}
+from .syntax import (App, Constr, Fix, Ind, Lam, Match, Name, Pi, Term, Universe, Var,
+                     _subst_all, alpha_eq, apply_spine, free_vars, fresh_name, occurs_free,
+                     spine, subst, telescope)
+from .termination import _guard_fix, infer_fix_index
 
 
 def type_check(ctxt: Context, e: Term) -> Term:
     """Return *a* type of e, not necessarily normal, or raise CheckError
     with the violated rule. Compare types with `ensure_equal`; normalise one
-    only to show it or to walk its structure. One loop over a stack of frames
-    (above), so no nesting of λ, Π or applications takes a Python frame per
-    level; an inductive, constructor, match or fixpoint goes to its rule,
-    which types its parts with a loop of its own."""
-    stack: list[tuple] = []
+    only to show it or to walk its structure."""
+    return _run([], ctxt, e)
+
+
+def _run(stack: list, ctxt: Context, e: Term):
+    """Type e in ctxt, then hand its type (or the CheckError typing it
+    raised) to the rules waiting on stack, the last first, typing each
+    subterm a rule yields in turn, and return what the first rule returns.
+    A variable and a universe are typed here; every other term starts the
+    rule `_RULES` holds for its kind."""
     while True:
-        kind = type(e)  # e is to be typed in ctxt; t is its type, once known
+        kind, error = type(e), None
         if kind is Var:
             t = ctxt.lookup_type(e.name)
             if t is None:
-                fail("T-Var", f"unbound variable {e.name}", e.span)
+                error = CheckError(Diagnostic("T-Var", f"unbound variable {e.name}", e.span))
         elif kind is Universe:
             t = Universe(e.level + 1)
-        elif kind is Lam or kind is Pi:
-            stack.append(("domain", ctxt, e))
-            e = e.domain
-            continue
-        elif kind is App:
-            apps = []
-            while type(e) is App:
-                apps.append(e)
-                e = e.fn
-            stack.append(("app", ctxt, apps, None, {}, None))
-            continue
-        elif kind is Ind:
-            inductive.check_ind(ctxt, e)
-            t = e.arity
-        elif kind is Constr:
-            t = inductive.check_constr(ctxt, e)
-        elif kind is Match:
-            t = inductive.check_match(ctxt, e)
-        elif kind is Fix:
-            t = termination.check_fix(ctxt, e)
         else:
-            raise TypeError(f"not a term: {e!r}")
-        while stack:  # hand t to the frames it completes, up to one that needs more
-            frame = stack.pop()
-            tag = frame[0]
-            if tag == "domain":  # t types a binder's domain: Γ ⊢ domain : Type i
-                _, ctxt, e = frame
-                t = _universe(ctxt, t, *_BINDER_RULES[type(e)], e)
-                ctxt, x, body = enter(ctxt, e.binder, e.domain, e.body)
-                if type(e) is Lam:
-                    stack.append(("λ", x, e.domain))
-                else:
-                    stack.append(("Π", ctxt, t, e))
-                e = body
+            rule = _RULES.get(kind)
+            if rule is None:
+                raise TypeError(f"not a term: {e!r}")
+            stack.append(rule(ctxt, e))
+            t = None
+        while stack:
+            try:
+                ctxt, e = stack[-1].send(t) if error is None else stack[-1].throw(error)
                 break
-            if tag == "λ":  # T-Abs: Γ, x : T ⊢ body : t
-                t = Pi(frame[1], frame[2], t)
-            elif tag == "Π":  # T-PI: Γ, x : T ⊢ body : Type j
-                _, inner, u, pi = frame
-                t = _universe(inner, t, "T-PI", "Pi codomain is not a type", pi)
-                if u.level > t.level:  # the larger universe, of the two already built
-                    t = u
-            else:  # T-App for a whole spine (f a1 ... an), in one pass
-                _, ctxt, apps, tf, sigma, domain = frame
-                if tf is not None:  # t types the argument of apps[-1]
-                    app = apps.pop()
-                    ensure_equal(ctxt, t, domain, "T-App", "argument type mismatch", app)
-                    # only a binder its scope names is substituted
-                    if tf.binder in free_vars(tf.body):
-                        sigma[tf.binder] = app.arg
-                    t = tf.body
-                if not apps:  # sigma maps the dependent binders passed so far to their arguments
-                    if sigma:
-                        t = _subst_all(sigma, t)
-                    continue
-                if type(t) is not Pi:  # sigma is applied to the Π chain only here
-                    t, sigma = normalise(_subst_all(sigma, t) if sigma else t, ctxt), {}
-                    if type(t) is not Pi:
-                        fail("T-App", "applying a non-function", apps[-1].span, actual=t)
-                domain = _subst_all(sigma, t.domain) if sigma else t.domain
-                stack.append(("app", ctxt, apps, t, sigma, domain))
-                e = apps[-1].arg
-                break
+            except StopIteration as done:
+                stack.pop()
+                t, error = done.value, None
+            except CheckError as err:
+                stack.pop()
+                error = err
         else:
+            if error is not None:
+                raise error
             return t
+
+
+_BINDER_RULES = {Lam: ("T-Abs", "lambda domain is not a type"),
+                 Pi: ("T-PI", "Pi domain is not a type")}
+
+
+def _abstraction(ctxt: Context, e: Lam | Pi):
+    """T-Abs and T-PI down a whole chain of λs and Πs: type each domain and
+    enter its binder, type the body, then build the type back up, a Π for
+    each λ and the larger of the two universes for each Π."""
+    entered = []
+    while type(e) is Lam or type(e) is Pi:
+        u = _universe(ctxt, (yield ctxt, e.domain), *_BINDER_RULES[type(e)], e)
+        ctxt, x, body = enter(ctxt, e.binder, e.domain, e.body)
+        entered.append((e, x, ctxt, u))
+        e = body
+    t = yield ctxt, e
+    for e, x, inner, u in reversed(entered):
+        if type(e) is Lam:  # T-Abs: Γ, x : T ⊢ body : t
+            t = Pi(x, e.domain, t)
+        else:  # T-PI: Γ, x : T ⊢ body : Type j
+            t = _universe(inner, t, "T-PI", "Pi codomain is not a type", e)
+            if u.level > t.level:  # the larger universe, of the two already built
+                t = u
+    return t
+
+
+def _application(ctxt: Context, e: App):
+    """T-App for a whole spine (f a1 ... an), in one pass. sigma maps the
+    dependent binders passed so far to their arguments; it is applied to the
+    Π chain only to normalise a codomain that is not a Π, and to the result."""
+    apps = []
+    while type(e) is App:
+        apps.append(e)
+        e = e.fn
+    t, sigma = (yield ctxt, e), {}
+    while apps:
+        if type(t) is not Pi:
+            t, sigma = normalise(_subst_all(sigma, t) if sigma else t, ctxt), {}
+            if type(t) is not Pi:
+                fail("T-App", "applying a non-function", apps[-1].span, actual=t)
+        app = apps.pop()
+        domain = _subst_all(sigma, t.domain) if sigma else t.domain
+        ensure_equal(ctxt, (yield ctxt, app.arg), domain, "T-App", "argument type mismatch", app)
+        if t.binder in free_vars(t.body):  # only a binder its scope names is substituted
+            sigma[t.binder] = app.arg
+        t = t.body
+    return _subst_all(sigma, t) if sigma else t
+
+
+def _inductive(ctxt: Context, ind: Ind):
+    """ind is well formed: its arity and each constructor type are types,
+    and each constructor has an allowed shape. Returns the positivity
+    warnings of its constructors."""
+    upsilon(ind.arity)
+    _universe(ctxt, (yield ctxt, ind.arity), "T-Ind", "inductive arity is not a type")
+    params = param_count(ind.arity)
+    inner, name, *ctypes = enter(ctxt, ind.name, ind.arity, *(c for _, c in ind.constructors))
+    warnings: list[Diagnostic] = []
+    for ctype in ctypes:
+        _universe(inner, (yield inner, ctype), "T-Ind",
+                  "constructor type does not live in a universe")
+        warnings.extend(positive_check(ctype, name, params))
+    return warnings
+
+
+def _ind(ctxt: Context, ind: Ind):
+    """T-Ind: a well-formed inductive has its arity as its type."""
+    yield from _inductive(ctxt, ind)
+    return ind.arity
+
+
+def _constr(ctxt: Context, c: Constr):
+    """T-Constr: the type of constructor c of a well-formed inductive."""
+    ind = c.inductive
+    if not isinstance(ind, Ind):
+        fail("T-Constr", "constructor of a non-inductive term", c.span, actual=ind)
+    n = len(ind.constructors)
+    if not 1 <= c.index <= n:
+        fail("T-Constr", f"constructor index {c.index} out of bounds (1..{n})", c.span)
+    yield from _inductive(ctxt, ind)
+    return subst(ind.name, ind, ind.constructors[c.index - 1][1])
+
+
+def _match(ctxt: Context, m: Match):
+    """T-Match: the scrutinee has a fully applied inductive type, the carrier
+    is a family over it, and each branch has the type its constructor and
+    the carrier give."""
+    st = normalise((yield ctxt, m.scrutinee), ctxt)
+    head, args = spine(st)
+    if not isinstance(head, Ind):
+        fail("T-Match", "scrutinee is not of an inductive type", m.span, actual=st)
+    params = param_count(head.arity)
+    if len(args) != params:
+        fail("T-Match", "scrutinee type does not fully apply the inductive", m.span, actual=st)
+
+    carrier_type = normalise((yield ctxt, m.carrier), ctxt)
+    level = _carrier_level(carrier_type, params, m)
+    expected_carrier = _expected_carrier_type(head, level)
+    ensure_equal(ctxt, carrier_type, expected_carrier, "T-Match", "carrier has the wrong type", m)
+
+    ctors = head.constructors
+    if len(m.branches) != len(ctors):
+        fail(
+            "T-Match",
+            f"match has {len(m.branches)} branches, {head.name} has {len(ctors)} constructors",
+            m.span,
+        )
+    for i, ((bname, body), (cname, ctype)) in enumerate(zip(m.branches, ctors), start=1):
+        if bname != cname:
+            fail(
+                "T-Match",
+                f"branch {i} is {bname}, expected {cname} "
+                "(branches must follow the declaration order)",
+                m.span,
+            )
+        closed = subst(head.name, head, ctype)
+        expected = case_type(closed, m.carrier, Constr(i, head))
+        yield from check(ctxt, body, expected, "T-Match", f"branch {bname} has the wrong type", m)
+    return normalise(App(apply_spine(m.carrier, args), m.scrutinee), ctxt)
+
+
+def _fix(ctxt: Context, fix: Fix):
+    """T-Fix: the signature is a type, the body checks against it with the
+    fixpoint's name bound to it, and the guard holds at the decreasing index."""
+    # a fixpoint is a recursive def, whose signature is reported as a declared type
+    _universe(ctxt, (yield ctxt, fix.signature), "T-PI",
+              "declared type must live in a universe", fix)
+    inner, f, body = enter(ctxt, fix.name, fix.signature, fix.body)
+    yield from check(inner, body, fix.signature, "T-Fix",
+                     f"fixpoint body of {fix.name} does not have the declared type", fix)
+    binders, _ = telescope(body, Lam)
+    if not 0 <= fix.dec_index < len(binders):
+        fail(
+            "T-Fix",
+            f"decreasing-argument index {fix.dec_index} out of range for {fix.name}",
+            fix.span,
+        )
+    _guard_fix(f, fix.dec_index, body)  # the kernel's check of the index elaboration inferred
+    return fix.signature
+
+
+# the rule each kind of term starts on the stack; variables and universes are typed by _run
+_RULES = {Lam: _abstraction, Pi: _abstraction, App: _application, Ind: _ind, Constr: _constr,
+          Match: _match, Fix: _fix}
 
 
 def ensure_universe(ctxt: Context, t: Term, rule: str, message: str, at=None) -> int:
@@ -154,8 +240,8 @@ def ensure_equal(ctxt: Context, actual: Term, expected: Term, rule: str, message
         fail(rule, message, getattr(at, "span", None), expected=forms[1], actual=forms[0])
 
 
-def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, at=None) -> None:
-    """Check e against t, a type in ctxt. While e is a λ and t a Π that bind
+def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, at=None):
+    """A rule: check e against t, a type in ctxt. While e is a λ and t a Π that bind
     the same name over alpha-equal domains, both enter one context as one
     binder, whose domain needs no typing, since t's is a type in the same
     context; only the rest of e is inferred, and compared with the rest of t.
@@ -166,8 +252,8 @@ def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, at=None) -> 
     while (type(body) is Lam and type(rest) is Pi and body.binder == rest.binder
            and alpha_eq(body.domain, rest.domain)):
         inner, _, body, rest = enter(inner, body.binder, body.domain, body.body, rest.body)
-    if inner is ctxt or not check_equal(type_check(inner, body), rest, inner):
-        ensure_equal(ctxt, type_check(ctxt, e), t, rule, message, at)
+    if inner is ctxt or not check_equal((yield inner, body), rest, inner):
+        ensure_equal(ctxt, (yield ctxt, e), t, rule, message, at)
 
 
 def check_def(ctxt: Context, e: Term, t: Term, message: str, at=None) -> None:
@@ -243,7 +329,7 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                     claim(name)
                     declared, value = desugar_def(decl)
                     if occurs_free(name, value):  # recursive; a failed guard is reported first
-                        k = termination.infer_fix_index(name, value)
+                        k = infer_fix_index(name, value)
                         value = Fix(name, k, declared, value, decl.kept_span)
                         type_check(ctxt, value)  # T-Fix: its type is declared
                     else:
@@ -255,8 +341,12 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                     claim(name)
                     for cname, _ in decl.constructors:
                         claim(cname)
-                    ctxt, warnings = inductive.register_inductive(ctxt, decl)
-                    result.diagnostics.extend(warnings)
+                    node = Ind(name, decl.arity, tuple(decl.constructors), decl.kept_span)
+                    rule = _inductive(ctxt, node)  # T-Ind, run for its warnings
+                    result.diagnostics.extend(_run([rule], *next(rule)))
+                    ctxt = ctxt.declare(name, decl.arity, node)
+                    for i, (cname, ctype) in enumerate(node.constructors, start=1):
+                        ctxt = ctxt.declare(cname, subst(name, node, ctype), Constr(i, node))
                     result.entries.append((name, decl.arity, "ok"))
                     for cname, _ in decl.constructors:
                         result.entries.append((cname, ctxt.lookup_type(cname), "ok"))
@@ -272,5 +362,3 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
     result.context = ctxt
     return result
 
-
-from . import inductive, termination  # noqa: E402  (both import this module)

@@ -153,6 +153,30 @@ def nested(shape: str, depth: int) -> str:
     return NAT + "def d() : Nat { " + "(" * depth + "Zero" + ")" * depth + " };"
 
 
+MATCH = "<λn:Nat.Nat> match "
+ZERO_SUCC = " with { Zero => Zero; Succ => λp:Nat.p }"
+
+
+def nested_matches(position: str, depth: int) -> str:
+    """A def d whose matches nest depth levels deep in the given position:
+    the scrutinee, the Zero branch, the carrier's body (as the argument of a
+    β-redex that gives Nat) or, in a recursive d, the Succ branch."""
+    if position == "scrutinee":
+        body = MATCH * depth + "Zero" + ZERO_SUCC * depth
+    elif position == "branch":
+        body = (MATCH + "Zero with { Zero => ") * depth + "Zero" + "; Succ => λp:Nat.p }" * depth
+    elif position == "carrier":
+        body = ("<λn:Nat.((λx:Nat.Nat) " * depth + MATCH + "Zero" + ZERO_SUCC
+                + (")> match Zero" + ZERO_SUCC) * depth)
+    else:
+        body = (MATCH + "m with { Zero => Zero; Succ => λp0:Nat."
+                + "".join(f"{MATCH}p{i} with {{ Zero => Zero; Succ => λp{i + 1}:Nat."
+                          for i in range(depth))
+                + f"(d p{depth})" + " }" * (depth + 1))
+        return NAT + "def d(m : Nat) : Nat { " + body + " };"
+    return NAT + "def d() : Nat { " + body + " };"
+
+
 def nesting(term) -> int:
     """The number of nodes on term's longest path, counted without recursion."""
     deepest, stack = 0, [(term, 1)]
@@ -286,6 +310,38 @@ class TestDepth:
         assert report.lines() == [
             "error[T-App] <input>:3:5: definition t does not have its declared type (expected "
             f"(Eq {numeral(n)} {numeral(n + 1)}), got (Eq {numeral(n)} {numeral(n)}))"]
+
+    # every typing rule, T-Match among them, is a step on type_check's one
+    # stack, so matches nested in any position check, print their types and
+    # normalise at the default recursion limit; the scrutinee position is
+    # checked less deep, because each level's type evaluates the whole
+    # scrutinee below it (ROADMAP defect (h)), which is quadratic
+    @pytest.mark.parametrize("position, depth, value", [
+        ("scrutinee", 1500, "Zero"),
+        ("branch", 3000, "Zero"),
+        ("carrier", 3000, "Zero"),
+        ("recursive", 3000, None),
+    ])
+    @pytest.mark.parametrize("how", ["plain", "dump_types", "normalize"])
+    def test_nested_matches_check_at_the_default_recursion_limit(
+            self, position, depth, value, how):
+        assert sys.getrecursionlimit() == 1000
+        report = check_source(nested_matches(position, depth),
+                              normalize_name="d" if how == "normalize" else None)
+        lines = report.lines(dump_types=how == "dump_types")
+        assert report.exit_code == 0, lines[:3]
+        if how == "normalize" and value is not None:
+            assert lines == [f"d ~> {value}"]
+        elif how == "dump_types":
+            assert lines[-1] == ("d : Πm:Nat.Nat" if value is None else "d : Nat")
+
+    # a failure deep in nested matches is thrown into each rule that waits
+    # on it, one after another, and reported as a failure near the top is
+    def test_a_rule_fails_deep_in_nested_matches_as_near_the_top(self):
+        assert sys.getrecursionlimit() == 1000
+        source = nested_matches("branch", 3000).replace("Zero; Succ", "ghost; Succ", 1)
+        assert check_source(source).lines() == [
+            "error[T-Var] <input>:2:117017: unbound variable ghost"]
 
     # the guard check and the positivity check walk a term by a loop
     def test_a_deeply_guarded_recursive_call_checks_at_the_default_recursion_limit(self):
@@ -454,6 +510,26 @@ class TestPackage:
                  if isinstance(node, ast.Call)
                  and ast.unparse(node.func).rsplit(".", 1)[-1] in PROCESS_SETTERS}
         assert calls - PROCESS_SETTERS_ALLOWED == set()
+
+    # a cycle hides behind an import placed after the code its other end
+    # needs; `from . import x` names the package, whose __init__ imports all
+    def test_the_modules_import_each_other_without_a_cycle(self):
+        graph = {path.stem: {m[1:] or "__init__" for _, m in _imports(path) if m.startswith(".")}
+                 for path in PACKAGE.glob("*.py")}
+        left = dict(graph)
+        while ready := [m for m, imported in left.items() if not imported & left.keys()]:
+            for module in ready:
+                del left[module]
+        assert left == {}, "these modules import each other in a cycle"
+
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+    def test_no_module_imports_after_its_first_definition(self, module):
+        body = ast.parse((PACKAGE / module).read_text(encoding="utf-8")).body
+        kinds = [type(node) for node in body]
+        first = next((i for i, kind in enumerate(kinds)
+                      if kind in (ast.FunctionDef, ast.ClassDef)), len(body))
+        assert [ast.unparse(node) for node in body[first:]
+                if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
     def test_the_parser_imports_no_typing_module(self):
         local = {m for _, m in _imports(PACKAGE / "parser.py") if m.startswith(".")}

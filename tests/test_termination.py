@@ -16,9 +16,10 @@ from pielang import (
     Universe,
     Var,
     parse_term,
+    type_check,
 )
 from pielang.cli import check_source
-from pielang.termination import check_fix, guard_check, infer_fix_index
+from pielang.termination import guard_check, infer_fix_index
 from strategies import F, GUARD_POOL as POOL, XK, deconstruct, recursion_bodies
 
 
@@ -158,7 +159,7 @@ class TestCheckFix:
         nat = parse_term("Nat")
         sig = Pi(XK, nat, nat)
         fix = Fix(F, 0, sig, Lam(XK, nat, Var(XK)))
-        assert check_fix(ctxt, fix) == sig
+        assert type_check(ctxt, fix) == sig
 
     def test_decreasing_index_must_name_an_argument(self):
         ctxt = elaborated("nat.pie").context
@@ -166,7 +167,7 @@ class TestCheckFix:
         sig = Pi(XK, nat, nat)
         fix = Fix(F, 5, sig, Lam(XK, nat, Var(XK)))
         with pytest.raises(CheckError) as err:
-            check_fix(ctxt, fix)
+            type_check(ctxt, fix)
         assert err.value.diagnostic.rule == "T-Fix"
 
     def test_the_guard_follows_a_renamed_self_name(self):
@@ -176,7 +177,7 @@ class TestCheckFix:
         ctxt = elaborated("nat.pie").context.extend_type(F, nat)
         fix = Fix(F, 0, Pi(XK, nat, nat), Lam(XK, nat, App(Var(F), Var(XK))))
         with pytest.raises(CheckError) as err:
-            check_fix(ctxt, fix)
+            type_check(ctxt, fix)
         assert err.value.diagnostic.rule == "Guard"
 
     def test_a_leading_lambda_that_rebinds_the_self_name_hides_it(self):
@@ -185,15 +186,15 @@ class TestCheckFix:
         sig = parse_term("Πf:(Nat -> Nat).Πn:Nat.Nat")
         body = parse_term("λf:(Nat -> Nat).λn:Nat.(f n)")
         assert infer_fix_index(F, body) == 0
-        assert check_fix(ctxt, Fix(F, 1, sig, body)) == sig
+        assert type_check(ctxt, Fix(F, 1, sig, body)) == sig
 
     def test_body_must_match_the_signature(self):
         ctxt = elaborated("nat.pie").context
         nat = parse_term("Nat")
         sig = Pi(XK, nat, nat)
         fix = Fix(F, 0, sig, Lam(XK, nat, parse_term("Zero")))
-        assert check_fix(ctxt, fix) == sig
+        assert type_check(ctxt, fix) == sig
         bad = Fix(F, 0, Pi(XK, nat, Universe(0)), Lam(XK, nat, Var(XK)))
         with pytest.raises(CheckError) as err:
-            check_fix(ctxt, bad)
+            type_check(ctxt, bad)
         assert err.value.diagnostic.rule == "T-Fix"

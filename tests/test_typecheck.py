@@ -34,7 +34,7 @@ from pielang import (
     subst,
     type_check,
 )
-from pielang import inductive, termination, typecheck
+from pielang import typecheck
 from pielang.cli import check_source, load_corpus
 from pielang.syntax import telescope
 from pielang.typecheck import ensure_equal, ensure_universe
@@ -200,23 +200,23 @@ def checked_defs(draw):
 
 
 def _inferred_and_compared(ctxt, e, t, rule, message, at=None):
-    """What `check` replaces: T-Abs infers a whole Π type, compared with t."""
-    ensure_equal(ctxt, type_check(ctxt, e), t, rule, message, at)
+    """What `check` replaces: T-Abs infers a whole Π type, compared with t.
+    A rule, as `check` is: it yields e to be typed and is sent its type."""
+    ensure_equal(ctxt, (yield ctxt, e), t, rule, message, at)
 
 
 def _typed_then_inferred_and_compared(ctxt, e, t, message, at=None):
     """What `check_def` replaces, and falls back to: the declared type typed
     whole, then the value inferred whole and its type compared with it."""
     ensure_universe(ctxt, t, "T-PI", "declared type must live in a universe", at)
-    _inferred_and_compared(ctxt, e, t, "T-App", message, at)
+    ensure_equal(ctxt, type_check(ctxt, e), t, "T-App", message, at)
 
 
 @contextlib.contextmanager
 def _inferring():
     """Every caller of `check` and `check_def` calls the reference instead."""
     with pytest.MonkeyPatch.context() as patch:
-        for module in (typecheck, termination, inductive):
-            patch.setattr(module, "check", _inferred_and_compared)
+        patch.setattr(typecheck, "check", _inferred_and_compared)
         patch.setattr(typecheck, "check_def", _typed_then_inferred_and_compared)
         yield
 
@@ -284,10 +284,12 @@ class TestCheck:
     def test_a_recursive_def_has_its_declared_type_typed_once(self, monkeypatch):
         declared, typed = parse_term("Πx:Nat.Πy:Nat.Nat"), []
 
+        rule = typecheck._RULES[Pi]
+
         def spy(ctxt, e):
             typed.append(alpha_eq(e, declared))
-            return type_check(ctxt, e)
-        monkeypatch.setattr(typecheck, "type_check", spy)
+            return rule(ctxt, e)
+        monkeypatch.setitem(typecheck._RULES, Pi, spy)
         result = elaborate(parse_program(corpus_source("add.pie"), "add.pie"))
         assert not result.diagnostics
         assert typed.count(True) == 1
