@@ -514,9 +514,8 @@ class TestPackage:
     # a cycle hides behind an import placed after the code its other end
     # needs; `from . import x` names the package, whose __init__ imports all
     def test_the_modules_import_each_other_without_a_cycle(self):
-        graph = {path.stem: {m[1:] or "__init__" for _, m in _imports(path) if m.startswith(".")}
-                 for path in PACKAGE.glob("*.py")}
-        left = dict(graph)
+        left = {path.stem: {m[1:] or "__init__" for _, m in _imports(path) if m.startswith(".")}
+                for path in PACKAGE.glob("*.py")}
         while ready := [m for m, imported in left.items() if not imported & left.keys()]:
             for module in ready:
                 del left[module]
@@ -525,9 +524,8 @@ class TestPackage:
     @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
     def test_no_module_imports_after_its_first_definition(self, module):
         body = ast.parse((PACKAGE / module).read_text(encoding="utf-8")).body
-        kinds = [type(node) for node in body]
-        first = next((i for i, kind in enumerate(kinds)
-                      if kind in (ast.FunctionDef, ast.ClassDef)), len(body))
+        first = next((i for i, node in enumerate(body)
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))), len(body))
         assert [ast.unparse(node) for node in body[first:]
                 if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
