@@ -4,8 +4,10 @@
 lines with `--dump-types`, and for every top-level def of the accepted
 programs the report lines with `--normalize NAME`. `golden/report_digests.txt`
 holds one digest per benchmark input of each workload at seeds 1 and 2, over
-its `--dump-types` lines and its exit code. Regenerate both only for an
-intended change of output:
+its `--dump-types` lines and its exit code, and `golden/budget_digests.txt`
+the same digest for each input of the two workloads that evaluate, `corpus`
+and `arith`, at a starved, two small and a large step budget. Regenerate
+them only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,6 +26,7 @@ import workloads  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden") / "corpus_reports.txt"
 REPORT_DIGESTS = Path(__file__).with_name("golden") / "report_digests.txt"
+BUDGET_DIGESTS = Path(__file__).with_name("golden") / "budget_digests.txt"
 
 
 def render_golden() -> str:
@@ -42,15 +45,29 @@ def render_golden() -> str:
     return "\n".join(out) + "\n"
 
 
+def _digest(case, budget: int | None = None) -> str:
+    report = check_source(case.source, case.name, budget=budget)
+    both = report.lines(dump_types=True), report.exit_code
+    return hashlib.sha256(repr(both).encode()).hexdigest()[:16]
+
+
 def render_report_digests() -> str:
     out = []
     for name, generate in workloads.WORKLOADS.items():
         for seed in (1, 2):
             for case in generate(seed):
-                report = check_source(case.source, case.name)
-                both = report.lines(dump_types=True), report.exit_code
-                out.append(f"{name}/{seed}/{case.name} "
-                           f"{hashlib.sha256(repr(both).encode()).hexdigest()[:16]}")
+                out.append(f"{name}/{seed}/{case.name} {_digest(case)}")
+    return "\n".join(out) + "\n"
+
+
+def render_budget_digests() -> str:
+    # `decls` and `deep` evaluate nothing, so no budget moves their reports
+    out = []
+    for name in ("corpus", "arith"):
+        for seed in (1, 2):
+            for budget in (0, 5, 50, 1000):
+                for case in workloads.WORKLOADS[name](seed):
+                    out.append(f"{name}/{seed}/{budget}/{case.name} {_digest(case, budget)}")
     return "\n".join(out) + "\n"
 
 
@@ -65,6 +82,16 @@ def test_corpus_reports_match_the_golden_file():
 def test_benchmark_inputs_report_the_pinned_digests():
     expected = REPORT_DIGESTS.read_text(encoding="utf-8").splitlines()
     actual = render_report_digests().splitlines()
+    assert len(actual) == len(expected)
+    for want, got in zip(expected, actual):
+        assert got == want
+
+
+def test_starved_budgets_report_the_pinned_digests():
+    """At budget 0 most of these reports are a Budget refusal where the
+    default budget decides, so the step at which evaluation stops is pinned."""
+    expected = BUDGET_DIGESTS.read_text(encoding="utf-8").splitlines()
+    actual = render_budget_digests().splitlines()
     assert len(actual) == len(expected)
     for want, got in zip(expected, actual):
         assert got == want
@@ -96,3 +123,4 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(render_golden(), encoding="utf-8")
     REPORT_DIGESTS.write_text(render_report_digests(), encoding="utf-8")
+    BUDGET_DIGESTS.write_text(render_budget_digests(), encoding="utf-8")

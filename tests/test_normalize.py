@@ -27,7 +27,9 @@ from pielang import (
     Var,
     alpha_eq,
     check_equal,
+    elaborate,
     normalise,
+    parse_program,
     parse_term,
     pretty,
     subst,
@@ -81,6 +83,10 @@ class TestReduction:
             self, source, normal):
         assert alpha_eq(normalise(parse_term(source), EMPTY), parse_term(normal))
 
+    def test_a_bound_stuck_application_takes_the_arguments_applied_to_it(self):
+        t = normalise(parse_term("((λh:A -> A.(h b)) (f a))"), EMPTY)
+        assert alpha_eq(t, parse_term("(f a b)"))
+
     def test_definitions_unfold(self):
         ctxt, t = norm_in("add.pie", "two")
         assert alpha_eq(t, normalise(parse_term("(Succ (Succ Zero))"), ctxt))
@@ -112,6 +118,15 @@ class TestRecursion:
     def test_fix_does_not_unfold_on_a_variable(self):
         ctxt, t = norm_in("add.pie", "(add n Zero)", {"n": "Nat"})
         assert alpha_eq(t, normalise(parse_term("(add n Zero)"), ctxt))
+
+    def test_a_bound_partial_application_unfolds_once_given_its_decreasing_argument(self):
+        source = ("Inductive Nat : Set := | Zero : Nat | Succ : Nat -> Nat;\n"
+                  "def plus(x : Nat, y : Nat) : Nat { <λn:Nat.Nat> match y with "
+                  "{ Zero => x; Succ => λp:Nat.(Succ (plus x p)) } };")
+        ctxt = elaborate(parse_program(source, "plus.pie")).context
+        assert ctxt.lookup_val(Name("plus")).dec_index == 1
+        t = normalise(parse_term("((λg:Nat -> Nat.(g (Succ Zero))) (plus (Succ Zero)))"), ctxt)
+        assert alpha_eq(t, normalise(parse_term("(Succ (Succ Zero))"), ctxt))
 
     def test_next_weekday(self):
         ctxt, t = norm_in("day.pie", "(next_weekday monday)")

@@ -147,6 +147,8 @@ def long_sources(draw) -> str:
 @example("Axiom a : (;\nAxiom b : A - B;")
 @example("Axiom N : Set; Axiom f : (N -> N) -> N → (N -> N);")
 @example("def h() : Set { <Πa:A.Πb:A.λc:A.Πd:A.A> match x with { (S p) => x; Z => (f x y); } }")
+@example("Axiom A : λ(x:Set).Set;")  # a binder with no name after it
+@example("Axiom A : λx Set.Set;")  # a binder's name with no ':' after it
 def test_token_soup_parses_as_the_reference_parser_does(source):
     assert outcome(tokenize, source) == outcome(reference.tokenize, source)
     assert (outcome(lambda s: parse_program(s, prelude=False).decls, source)

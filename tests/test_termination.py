@@ -102,6 +102,23 @@ class TestShadowing:
         shadowing = Lam(F, App(Var(F), Var(self.M)), App(Var(F), Var(XK)))
         assert passes([], deconstruct(XK, shadowing))
 
+    @pytest.mark.parametrize("inner, passing", [(F, True), (Name("g"), False)],
+                             ids=["same-name", "other-name"])
+    def test_a_nested_fixpoint_hides_the_recursive_function_by_its_own_name(
+            self, inner, passing):
+        # the signature calls f on the guarded m, so the walk enters the inner
+        # fixpoint; (f k) in its body calls the outer f only if the inner
+        # fixpoint has another name, and k is not guarded
+        k = Var(Name("k"))
+        nested = Fix(inner, 0, App(Var(F), Var(self.M)), App(Var(F), k))
+        body = deconstruct(XK, nested)
+        if passing:
+            guard_check(F, 0, XK, frozenset(), body)
+        else:
+            with pytest.raises(CheckError) as err:
+                guard_check(F, 0, XK, frozenset(), body)
+            assert err.value.diagnostic.rule == "Guard"
+
     def test_a_later_parameter_hides_an_earlier_one(self):
         # only the second n is matched on, so the first does not decrease
         call = App(App(Var(F), Var(self.M)), Var(self.M))
