@@ -3,15 +3,16 @@
 Evaluation maps a term and an environment to a value: a closure (a term
 paired with the environment it was met in) for λ, Π, universes,
 inductives, constructors and fixpoints; or a neutral value for a stuck
-variable, application or match. `_Evaluator.eval` is one loop: an
-application pushes its arguments' values and goes on with its head; beta
-extends a closure's environment instead of substituting, context names
-unfold (delta), matches reduce on a constructor-headed scrutinee (iota),
-and a fixpoint unfolds only once its decreasing argument is
-constructor-headed (a name bound to a fixpoint stays that name until
-then). A spine whose arguments are being evaluated, and a match whose
-scrutinee is, wait on a stack of frames, so no level of a term costs a
-Python frame. Inductives, constructors, fixpoints and the carrier and
+variable, application or match. `_Evaluator.eval` is one loop over a term
+and a stack of the argument values it is applied to: an application pushes
+its argument's value and goes on with its head; beta pops one and extends a
+closure's environment instead of substituting, context names unfold
+(delta), matches reduce on a constructor-headed scrutinee (iota), and a
+fixpoint unfolds only once its decreasing argument is constructor-headed (a
+name bound to a fixpoint stays that name until then). An application whose
+argument is being evaluated, and a match whose scrutinee is, wait as one
+shape of frame on a stack, so no level of a term costs a Python frame.
+Inductives, constructors, fixpoints and the carrier and
 branches of a stuck match are not evaluated inside. One evaluator resolves
 each name the context binds once, to one shared value, and keeps the value
 of each argument it evaluates in no environment for its next occurrence.
@@ -57,7 +58,6 @@ from .syntax import (
     alpha_eq,
     fresh_name,
     free_vars,
-    spine,
     subst,  # not used here, but `pielang.normalize.subst` keeps resolving
 )
 
@@ -171,26 +171,24 @@ class _Evaluator:
                                else _Closure(value, {}) if type(value) in _CLOSED_TERMS else value)
         return g
 
-    def eval(self, t: Term, env: dict, args: tuple = ()):
-        """The value of t in env applied to the values args. A spine waiting for
-        its next argument's value, and a match for its scrutinee's, wait as frames
-        on a stack, not as Python frames. An argument evaluated in no environment
-        keeps its value in `closed`, by id, beside the term, which keeps the id."""
-        waiting, closed, resolved = [], self.closed, self.globals
+    def eval(self, t: Term, env: dict):
+        """The value of t in env. The values a head is waiting to be applied to
+        are one list, `args`, with the next argument last; an application waiting
+        for its argument's value, and a match for its scrutinee's, wait as a frame
+        (term, env, args) on a stack, not as a Python frame. An argument evaluated
+        in no environment keeps its value in `closed`, by id, beside the term,
+        which keeps the id."""
+        waiting, closed, resolved, args = [], self.closed, self.globals, []
         while True:
             while True:  # the value f at the head of t
                 if not env and (kept := closed.get(id(t))) is not None:
                     f = kept[1]
                     break
                 kind = type(t)
-                if kind is Match or kind is App and type(t.fn) is not App:
-                    # a match waits for its scrutinee's value, an application for its argument's
+                if kind is App or kind is Match:
+                    # an application waits for its argument's value, a match for its scrutinee's
                     waiting.append((t, env, args))
-                    t, args = t.scrutinee if kind is Match else t.arg, ()
-                elif kind is App:  # a longer spine waits as a list that collects its values
-                    t, terms = spine(t)
-                    waiting.append([t, env, args, terms])
-                    t, args = terms[0], ()
+                    t, args = t.arg if kind is App else t.scrutinee, []
                 elif kind is Var:
                     f = env.get(t.name) if env else None
                     if f is None:
@@ -210,13 +208,14 @@ class _Evaluator:
                 if args:
                     if type(f) is _Closure and type(f.term) is Lam:
                         self.tick()
-                        t, env, args = f.term.body, {**f.env, f.term.binder: args[0]}, args[1:]
+                        t, env = f.term.body, {**f.env, f.term.binder: args.pop()}
                         break
                     if type(f) is _VApp:
-                        f, args = f.head, f.args + args
+                        args += reversed(f.args)
+                        f = f.head
                     fix = f.fix if type(f) is _VVar else f.term if type(f) is _Closure else None
                     if type(fix) is Fix and len(args) > fix.dec_index and (
-                            _constructor(args[fix.dec_index])[0] is not None):
+                            _constructor(args[-1 - fix.dec_index])[0] is not None):
                         self.tick()
                         env = {} if type(f) is _VVar else f.env
                         # stuck recursive calls keep the name the context binds to this
@@ -225,33 +224,21 @@ class _Evaluator:
                         itself = g if type(g) is _VVar and g.fix is fix else _Closure(fix, env)
                         t, env = fix.body, {**env, fix.name: itself}
                         break
-                    f, args = _VApp(f, args), ()
+                    f, args = _VApp(f, tuple(reversed(args))), []
                 if not waiting:
                     return f
-                frame = waiting[-1]
-                if type(frame) is list:  # a spine: f is the value of its next argument
-                    env, terms = frame[1], frame[3]
-                    if not env:
-                        a = terms[len(frame) - 4]
-                        closed[id(a)] = a, f
-                    frame.append(f)
-                    if len(frame) - 4 < len(terms):
-                        t, args = terms[len(frame) - 4], ()
-                    else:
-                        waiting.pop()
-                        t, args = frame[0], (*frame[4:], *frame[2])
-                    break
-                waiting.pop()
-                t, env, args = frame
+                t, env, args = waiting.pop()
                 if type(t) is App:  # f is the value of its argument
                     if not env:
                         closed[id(t.arg)] = t.arg, f
-                    t, args = t.fn, (f, *args)
+                    t = t.fn
+                    args.append(f)
                     break
                 c, c_args = _constructor(f)  # t is a match, and f the value of its scrutinee
                 if c is not None:
                     self.tick()
-                    t, args = t.branches[c.index - 1][1], c_args + args
+                    t = t.branches[c.index - 1][1]
+                    args += reversed(c_args)
                     break
                 f = _VMatch(t, f, env)
 
