@@ -72,20 +72,17 @@ class TestReduction:
         t = normalise(parse_term("(f a)"), EMPTY)
         assert alpha_eq(t, parse_term("(f a)"))
 
-    # an application that a redex leaves in head position takes the arguments
-    # still waiting, after its own
+    # an application that a redex leaves in head position, or that beta binds
+    # to a variable applied there, takes the arguments still waiting, after its own
     @pytest.mark.parametrize("source, normal", [
         ("((λx:Set.(f x)) A B)", "(f A B)"),
         ("((λx:Set.(f x x)) A B)", "(f A A B)"),
         ("((λx:Set.(f (g x))) A B)", "(f (g A) B)"),
-    ], ids=["one", "two", "nested"])
+        ("((λh:A -> A.(h b)) (f a))", "(f a b)"),
+    ], ids=["one", "two", "nested", "bound"])
     def test_an_application_left_in_head_position_takes_the_waiting_arguments(
             self, source, normal):
         assert alpha_eq(normalise(parse_term(source), EMPTY), parse_term(normal))
-
-    def test_a_bound_stuck_application_takes_the_arguments_applied_to_it(self):
-        t = normalise(parse_term("((λh:A -> A.(h b)) (f a))"), EMPTY)
-        assert alpha_eq(t, parse_term("(f a b)"))
 
     def test_definitions_unfold(self):
         ctxt, t = norm_in("add.pie", "two")
