@@ -4,9 +4,12 @@ is sent e's type, or has the CheckError thrown into it that typing e raised,
 so it reads as the recursive rule does, while `type_check` keeps every rule
 that waits on one stack (Danvy & Nielsen, "Defunctionalization at Work",
 PPDP 2001), and no nesting of terms takes a Python frame per level. Every
-binder enters the context through `enter`, every failed conversion is
-reported by `ensure_equal`, and `elaborate` makes a recursive def a fixpoint.
-A rule names the term or declaration its report points at, `at`, and reads
+binder enters the context through `enter`, and every failed conversion is
+reported by `ensure_equal`. `check` is the one walk of a λ chain along a Π
+chain: a match branch, a fixpoint body and, started by `elaborate` on the
+same stack, a def that does not recurse, whose declared Π chain it types as
+it goes. `elaborate` makes a recursive def a fixpoint, which T-Fix types. A
+rule names the term or declaration its report points at, `at`, and reads
 its span only to report a failure, so a term whose typing succeeds never has
 its span built."""
 from __future__ import annotations
@@ -213,11 +216,6 @@ _RULES = {Lam: _abstraction, Pi: _abstraction, App: _application, Ind: _ind, Con
           Match: _match, Fix: _fix}
 
 
-def ensure_universe(ctxt: Context, t: Term, rule: str, message: str, at=None) -> int:
-    """Check that t is typed by a universe; return its level."""
-    return _universe(ctxt, type_check(ctxt, t), rule, message, at).level
-
-
 def _universe(ctxt: Context, t: Term, rule: str, message: str, at=None) -> Universe:
     """t, a type in ctxt, if it is a universe; else its normal form, which
     must be one. Only a type that is not already a universe is normalised."""
@@ -240,43 +238,35 @@ def ensure_equal(ctxt: Context, actual: Term, expected: Term, rule: str, message
         fail(rule, message, getattr(at, "span", None), expected=forms[1], actual=forms[0])
 
 
-def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, at=None):
-    """A rule: check e against t, a type in ctxt. While e is a λ and t a Π that bind
+def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, at=None, typed=True):
+    """A rule: check e against t in ctxt. While e is a λ and t a Π that bind
     the same name over alpha-equal domains, both enter one context as one
-    binder, whose domain needs no typing, since t's is a type in the same
-    context; only the rest of e is inferred, and compared with the rest of t.
-    If nothing was entered, or the rest differs, e is inferred whole and its
-    type compared with t in ctxt, so the report is the one that inferring e
-    and comparing its type gives."""
-    inner, body, rest = ctxt, e, t
-    while (type(body) is Lam and type(rest) is Pi and body.binder == rest.binder
-           and alpha_eq(body.domain, rest.domain)):
-        inner, _, body, rest = enter(inner, body.binder, body.domain, body.body, rest.body)
-    if inner is ctxt or not check_equal((yield inner, body), rest, inner):
-        ensure_equal(ctxt, (yield ctxt, e), t, rule, message, at)
-
-
-def check_def(ctxt: Context, e: Term, t: Term, message: str, at=None) -> None:
-    """Check the value e of a def that does not recurse against its declared
-    type t, and t as a type, in one walk: while e is a λ and t a Π as in
-    `check`, type the Π's domain, as T-PI does, and enter the pair; then type
-    the rest of t, infer the rest of e and compare them. If the walk entered
-    nothing, or anything fails or differs, t is typed whole, e inferred whole
-    and its type compared with t, and the report is the one those give."""
+    binder, whose domain is not typed again, and only the rest of e is
+    inferred and compared with the rest of t. A def's declared type, unlike a
+    branch's or a fixpoint body's, is not yet known to be a type: with
+    typed=False the walk types each Π domain before it enters it, and the
+    rest of t, as T-PI does, and on any failure types t whole. If nothing was
+    entered, or the rest differs, e is inferred whole and its type compared
+    with t in ctxt, so the report is the one that typing t, inferring e and
+    comparing give."""
     inner, body, rest = ctxt, e, t
     try:
         while (type(body) is Lam and type(rest) is Pi and body.binder == rest.binder
                and alpha_eq(body.domain, rest.domain)):
-            _universe(inner, type_check(inner, rest.domain), "T-PI", "Pi domain is not a type")
+            if not typed:
+                _universe(inner, (yield inner, rest.domain), "T-PI", "Pi domain is not a type")
             inner, _, body, rest = enter(inner, body.binder, body.domain, body.body, rest.body)
         if inner is not ctxt:
-            _universe(inner, type_check(inner, rest), "T-PI", "Pi codomain is not a type")
-            if check_equal(type_check(inner, body), rest, inner):
+            if not typed:
+                _universe(inner, (yield inner, rest), "T-PI", "Pi codomain is not a type")
+            if check_equal((yield inner, body), rest, inner):
                 return
     except CheckError:
-        pass
-    ensure_universe(ctxt, t, "T-PI", "declared type must live in a universe", at)
-    ensure_equal(ctxt, type_check(ctxt, e), t, "T-App", message, at)
+        if typed:
+            raise
+    if not typed:
+        _universe(ctxt, (yield ctxt, t), "T-PI", "declared type must live in a universe", at)
+    ensure_equal(ctxt, (yield ctxt, e), t, rule, message, at)
 
 
 def enter(ctxt: Context, x: Name, t: Term, *scope: Term) -> tuple:
@@ -322,7 +312,8 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
             match decl:
                 case AxiomDecl(name=name, type=t):
                     claim(name)
-                    ensure_universe(ctxt, t, "T-Univ", "axiom type must live in a universe", decl)
+                    _universe(ctxt, type_check(ctxt, t), "T-Univ", "axiom type must live in a universe",
+                              decl)
                     ctxt = ctxt.declare(name, t)
                     result.entries.append((name, t, "ok"))
                 case DefDecl(name=name):
@@ -332,9 +323,11 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                         k = infer_fix_index(name, value)
                         value = Fix(name, k, declared, value, decl.kept_span)
                         type_check(ctxt, value)  # T-Fix: its type is declared
-                    else:
-                        check_def(ctxt, value, declared,
-                                  f"definition {name} does not have its declared type", decl)
+                    else:  # one rule on the typing stack, as an inductive's below
+                        rule = check(ctxt, value, declared, "T-App",
+                                     f"definition {name} does not have its declared type",
+                                     decl, typed=False)
+                        _run([rule], *next(rule))
                     ctxt = ctxt.declare(name, declared, value)
                     result.entries.append((name, declared, "ok"))
                 case InductiveDeclSrc(name=name):

@@ -37,7 +37,7 @@ from pielang import (
 from pielang import typecheck
 from pielang.cli import check_source, load_corpus
 from pielang.syntax import telescope
-from pielang.typecheck import ensure_equal, ensure_universe
+from pielang.typecheck import _universe, ensure_equal
 from strategies import terms
 
 EMPTY = Context()
@@ -199,25 +199,21 @@ def checked_defs(draw):
     return CHECKED + f"def d() : {type_} {{ {value} }};", draw(st.sampled_from((None, 3, 0)))
 
 
-def _inferred_and_compared(ctxt, e, t, rule, message, at=None):
-    """What `check` replaces: T-Abs infers a whole Π type, compared with t.
-    A rule, as `check` is: it yields e to be typed and is sent its type."""
+def _inferred_and_compared(ctxt, e, t, rule, message, at=None, typed=True):
+    """What `check` replaces, and falls back to: a declared type, not yet
+    known to be a type, typed whole; then a whole Π type that T-Abs infers,
+    compared with t. A rule, as `check` is: it yields what it types and is
+    sent its type."""
+    if not typed:
+        _universe(ctxt, (yield ctxt, t), "T-PI", "declared type must live in a universe", at)
     ensure_equal(ctxt, (yield ctxt, e), t, rule, message, at)
-
-
-def _typed_then_inferred_and_compared(ctxt, e, t, message, at=None):
-    """What `check_def` replaces, and falls back to: the declared type typed
-    whole, then the value inferred whole and its type compared with it."""
-    ensure_universe(ctxt, t, "T-PI", "declared type must live in a universe", at)
-    ensure_equal(ctxt, type_check(ctxt, e), t, "T-App", message, at)
 
 
 @contextlib.contextmanager
 def _inferring():
-    """Every caller of `check` and `check_def` calls the reference instead."""
+    """Every caller of `check` calls the reference instead."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(typecheck, "check", _inferred_and_compared)
-        patch.setattr(typecheck, "check_def", _typed_then_inferred_and_compared)
         yield
 
 
@@ -228,10 +224,10 @@ def _checked(source: str, budget):
 
 
 class TestCheck:
-    """`check` walks a λ chain along the declared Π chain and infers only
-    the rest, and `check_def` types that Π chain in the same walk, but both
-    report as typing the declared type, inferring the whole value and
-    comparing did."""
+    """`check` is the one walk of a λ chain along a Π chain: it infers only
+    the rest of the value, and types a def's declared Π chain in the same
+    walk, but it reports as typing the declared type, inferring the whole
+    value and comparing did."""
 
     @given(case=checked_defs())
     @example(case=(CHECKED + "def d() : Πa:A.Πx:(P a).B { λa:A.λx:(P a).b };", None))
@@ -293,6 +289,22 @@ class TestCheck:
         result = elaborate(parse_program(corpus_source("add.pie"), "add.pie"))
         assert not result.diagnostics
         assert typed.count(True) == 1
+
+    # a def that does not recurse has its declared type typed in the walk, a
+    # domain and then the rest at a time, never as the whole Π chain
+    def test_a_def_that_does_not_recurse_has_its_declared_type_typed_in_the_walk(
+            self, monkeypatch):
+        declared, typed = parse_term("ΠA:Set.Πa:A.Πb:B.A"), []
+        rule = typecheck._RULES[Pi]
+
+        def spy(ctxt, e):
+            typed.append(alpha_eq(e, declared))
+            return rule(ctxt, e)
+        monkeypatch.setitem(typecheck._RULES, Pi, spy)
+        result = elaborate(parse_program("Axiom B : Set;\ndef k(A : Set, a : A, b : B) : A { a };"))
+        assert not result.diagnostics
+        assert result.entries[-1] == (Name("k"), declared, "ok")
+        assert True not in typed
 
     # a fixpoint's signature is a def's declared type, and is reported as one
     def test_a_recursive_def_whose_declared_type_is_not_a_type(self):
