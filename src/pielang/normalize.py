@@ -422,14 +422,17 @@ def _unfold_inert(t: Term, ctxt: Context) -> Term:
 
 def _compare(a: Term, b: Term, ctxt: Context, budget: int | None):
     """None if a and b are definitionally equal; otherwise the evaluator of
-    each side and the value it built, in that order. Alpha-equal terms, once a
-    name bound to an inert term is unfolded, are equal with no evaluation and
-    no step drawn."""
-    a, b = _unfold_inert(a, ctxt), _unfold_inert(b, ctxt)
+    each side and the value it built, in that order. Alpha-equal terms are
+    equal with no evaluation and no step drawn, and so are terms alpha-equal
+    once a name bound to an inert term is unfolded; the context is read only
+    when the terms are not alpha-equal as they stand."""
     if alpha_eq(a, b):
         return None
+    ua, ub = _unfold_inert(a, ctxt), _unfold_inert(b, ctxt)
+    if (ua is not a or ub is not b) and alpha_eq(ua, ub):
+        return None
     left, right = _Evaluator(ctxt, budget), _Evaluator(ctxt, budget)
-    u, v = left.eval(a, {}), right.eval(b, {})
+    u, v = left.eval(ua, {}), right.eval(ub, {})
     return None if _convert(left, right, u, v) else (left, u, right, v)
 
 

@@ -82,23 +82,71 @@ class Term:
 
 # The methods every sealed class shares, as a frozen dataclass would make them:
 # they read its compared fields through `_compared` and its shown ones in `_shown`.
+# Each is one loop over the nodes and tuples below it, so no level of a term takes
+# a Python frame; a value of any other kind is compared, hashed or shown by itself.
 
 def _refuse(self, name, *value):
     raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
 
 
 def _eq(self, other):
+    """Whether the compared fields are equal, as the tuples of them compare."""
     if type(other) is not type(self):
         return NotImplemented
-    return self._compared(self) == other._compared(other)
+    work = [(self._compared(self), other._compared(other))]
+    while work:
+        a, b = work.pop()
+        if a is b:
+            continue
+        kind = type(a)
+        if kind is not type(b) or kind is not tuple and kind.__eq__ is not _eq:
+            if not a == b:
+                return False
+        elif kind is tuple:
+            if len(a) != len(b):
+                return False
+            work.extend(zip(a, b))
+        else:
+            work.append((a._compared(a), b._compared(b)))
+    return True
 
 
 def _hash(self):
-    return hash(self._compared(self))
+    """The hash of the values in the compared fields, listed in one loop with
+    each tuple's length before its items, so equal values hash equal."""
+    flat, work = [], [self._compared(self)]
+    while work:
+        v = work.pop()
+        if type(v) is tuple:
+            flat.append(len(v))
+            work.extend(v)
+        elif type(v).__hash__ is _hash:
+            work.append(v._compared(v))
+        else:
+            flat.append(v)
+    return hash(tuple(flat))
 
 
 def _repr(self):
-    return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._shown)})"
+    """ClassName(field=value, ...) for the shown fields."""
+    out, work = [], [self]
+    while work:
+        v = work.pop()
+        if type(v) is str:  # text; a field's str value is pushed as its repr
+            out.append(v)
+            continue
+        if type(v) is tuple:
+            out.append("(")
+            items = [(", " if i else "", x) for i, x in enumerate(v)]
+            work.append(",)" if len(v) == 1 else ")")
+        else:
+            out.append(f"{type(v).__qualname__}(")
+            items = [(f"{', ' if i else ''}{f}=", getattr(v, f)) for i, f in enumerate(v._shown)]
+            work.append(")")
+        for label, x in reversed(items):
+            work.append(x if type(x) is tuple or type(x).__repr__ is _repr else repr(x))
+            work.append(label)
+    return "".join(out)
 
 
 def _reduce(self):  # a copy is rebuilt by __init__, with an empty memo and the same kept span
@@ -453,7 +501,10 @@ def alpha_eq(a: Term, b: Term) -> bool:
     """Whether a and b differ only in the names of their binders. One loop
     over a stack of pairs, so it takes no Python frame per level; each name
     has a stack of the depths of the binders in scope that bind it, pushed
-    and popped, so the time and memory are linear in the terms' size."""
+    and popped, so the time and memory are linear in the terms' size. Two
+    variables, free here, are answered by their names, with no table built."""
+    if type(a) is Var and type(b) is Var:
+        return a.name == b.name
     bound_a: dict[Name, list[int]] = {}
     bound_b: dict[Name, list[int]] = {}
     # binder pairs in scope whose two names differ; while there are none, both

@@ -5,13 +5,17 @@ so it reads as the recursive rule does, while `type_check` keeps every rule
 that waits on one stack (Danvy & Nielsen, "Defunctionalization at Work",
 PPDP 2001), and no nesting of terms takes a Python frame per level. Every
 binder enters the context through `enter`, and every failed conversion is
-reported by `ensure_equal`. `check` is the one walk of a λ chain along a Π
-chain: a match branch, a fixpoint body and, started by `elaborate` on the
-same stack, a def that does not recurse, whose declared Π chain it types as
-it goes. `elaborate` makes a recursive def a fixpoint, which T-Fix types. A
-rule names the term or declaration its report points at, `at`, and reads
-its span only to report a failure, so a term whose typing succeeds never has
-its span built."""
+reported by `ensure_equal`, which tries alpha-equivalence before anything
+else. `check` is the one walk of a λ chain along a Π chain: a match branch,
+a fixpoint body and, started by `elaborate` on the same stack, a def that
+does not recurse and whose value is a λ, whose declared Π chain it types as
+it goes. Any other such def has nothing to walk: `elaborate` types its
+declared type, infers its value and compares the two itself, as `check`
+would. `elaborate` makes a recursive def a fixpoint, which T-Fix types.
+T-App types a spine and the spines in its arguments, as in a numeral, as one
+rule. A rule names the term or declaration its report points at, `at`, and
+reads its span only to report a failure, so a term whose typing succeeds
+never has its span built."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -99,24 +103,39 @@ def _abstraction(ctxt: Context, e: Lam | Pi):
 def _application(ctxt: Context, e: App):
     """T-App for a whole spine (f a1 ... an), in one pass. sigma maps the
     dependent binders passed so far to their arguments; it is applied to the
-    Π chain only to normalise a codomain that is not a Π, and to the result."""
-    apps = []
-    while type(e) is App:
-        apps.append(e)
-        e = e.fn
-    t, sigma = (yield ctxt, e), {}
-    while apps:
-        if type(t) is not Pi:
-            t, sigma = normalise(_subst_all(sigma, t) if sigma else t, ctxt), {}
-            if type(t) is not Pi:
-                fail("T-App", "applying a non-function", apps[-1].span, actual=t)
-        app = apps.pop()
-        domain = _subst_all(sigma, t.domain) if sigma else t.domain
-        ensure_equal(ctxt, (yield ctxt, app.arg), domain, "T-App", "argument type mismatch", app)
-        if t.binder in free_vars(t.body):  # only a binder its scope names is substituted
-            sigma[t.binder] = app.arg
-        t = t.body
-    return _subst_all(sigma, t) if sigma else t
+    Π chain only to normalise a codomain that is not a Π, and to the result.
+    An argument that is itself a spine, as in a numeral, is typed in the same
+    pass: the spine it belongs to waits on `outer` for its type, so nested
+    spines start one rule, not one each."""
+    outer = []
+    while True:
+        apps = []
+        while type(e) is App:
+            apps.append(e)
+            e = e.fn
+        t, sigma = (yield ctxt, e), {}
+        while True:
+            if apps:
+                if type(t) is not Pi:
+                    t, sigma = normalise(_subst_all(sigma, t) if sigma else t, ctxt), {}
+                    if type(t) is not Pi:
+                        fail("T-App", "applying a non-function", apps[-1].span, actual=t)
+                app = apps.pop()
+                domain = _subst_all(sigma, t.domain) if sigma else t.domain
+                if type(app.arg) is App:
+                    outer.append((apps, t, sigma, app, domain))
+                    e = app.arg
+                    break
+                arg_type = yield ctxt, app.arg
+            else:  # this spine is typed, and its type is an argument's, if one waits
+                arg_type = _subst_all(sigma, t) if sigma else t
+                if not outer:
+                    return arg_type
+                apps, t, sigma, app, domain = outer.pop()
+            ensure_equal(ctxt, arg_type, domain, "T-App", "argument type mismatch", app)
+            if t.binder in free_vars(t.body):  # only a binder its scope names is substituted
+                sigma[t.binder] = app.arg
+            t = t.body
 
 
 def _inductive(ctxt: Context, ind: Ind):
@@ -248,7 +267,8 @@ def check(ctxt: Context, e: Term, t: Term, rule: str, message: str, at=None, typ
     rest of t, as T-PI does, and on any failure types t whole. If nothing was
     entered, or the rest differs, e is inferred whole and its type compared
     with t in ctxt, so the report is the one that typing t, inferring e and
-    comparing give."""
+    comparing give. `elaborate` starts it for a def only when e is a λ, and
+    otherwise does those three steps itself."""
     inner, body, rest = ctxt, e, t
     try:
         while (type(body) is Lam and type(rest) is Pi and body.binder == rest.binder
@@ -319,15 +339,19 @@ def elaborate(program, initial: Context | None = None) -> ElabResult:
                 case DefDecl(name=name):
                     claim(name)
                     declared, value = desugar_def(decl)
+                    message = f"definition {name} does not have its declared type"
                     if occurs_free(name, value):  # recursive; a failed guard is reported first
                         k = infer_fix_index(name, value)
                         value = Fix(name, k, declared, value, decl.kept_span)
                         type_check(ctxt, value)  # T-Fix: its type is declared
-                    else:  # one rule on the typing stack, as an inductive's below
-                        rule = check(ctxt, value, declared, "T-App",
-                                     f"definition {name} does not have its declared type",
-                                     decl, typed=False)
+                    elif type(value) is Lam:  # a walk, one rule on the typing stack
+                        rule = check(ctxt, value, declared, "T-App", message, decl, typed=False)
                         _run([rule], *next(rule))
+                    else:  # nothing to walk: what check does when its walk enters nothing
+                        _universe(ctxt, type_check(ctxt, declared), "T-PI",
+                                  "declared type must live in a universe", decl)
+                        ensure_equal(ctxt, type_check(ctxt, value), declared, "T-App", message,
+                                     decl)
                     ctxt = ctxt.declare(name, declared, value)
                     result.entries.append((name, declared, "ok"))
                 case InductiveDeclSrc(name=name):
