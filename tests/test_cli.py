@@ -2,17 +2,20 @@
 from __future__ import annotations
 
 import ast
+import re
 import subprocess
 import sys
 import threading
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import pielang
 from conftest import corpus_source
 from pielang import Context, DefDecl, Name, Var, cli, parse_program, pretty
-from pielang.syntax import children
+from pielang.syntax import _TEXT, children
 from pielang.cli import (
     NEGATIVE_CORPUS,
     POSITIVE_CORPUS,
@@ -128,6 +131,43 @@ def interleave(monkeypatch, paused_check, other_check):
     assert not thread.is_alive()
     [first] = reports
     return first, other
+
+
+# the corpus programs cut into tokens and the white space between them
+CORPUS_TOKENS = [re.findall(r"\s+|" + _TEXT.pattern, path.read_text(encoding="utf-8"))
+                 for path, _ in load_corpus()]
+
+
+@st.composite
+def mutants(draw):
+    """A corpus program with one to three tokens, or runs of white space,
+    replaced, deleted, or inserted before, each new one drawn from the
+    program's own."""
+    tokens = list(draw(st.sampled_from(CORPUS_TOKENS)))
+    pool = sorted(set(tokens))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        edit = draw(st.sampled_from(("replace", "delete", "insert")))
+        if edit == "delete":
+            del tokens[i]
+        else:
+            tokens[i:i + (edit == "replace")] = [draw(st.sampled_from(pool))]
+    return "".join(tokens)
+
+
+class TestMutants:
+    """Any input ends in a report: a corpus program a few tokens away from a
+    bundled one, checked at a starved, small, large or default budget, gives
+    exit 0 or 1 and one line per diagnostic, and raises nothing."""
+
+    @given(source=mutants(), budget=st.sampled_from((None, 0, 5, 1000)))
+    @settings(max_examples=300, deadline=None)
+    def test_a_mutated_corpus_program_ends_in_a_report(self, source, budget):
+        report = check_source(source, "m.pie", budget=budget)
+        assert report.exit_code in (0, 1)
+        assert report.exit_code == any(d.severity == "error" for d in report.diagnostics)
+        for d in report.diagnostics:
+            assert len(d.render("m.pie").splitlines()) == 1
 
 
 NAT = "Inductive Nat : Set := | Zero : Nat | Succ : Nat -> Nat;\n"

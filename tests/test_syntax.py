@@ -32,6 +32,7 @@ from pielang import (
     pretty,
     subst,
 )
+from pielang.cli import check_source
 from pielang.syntax import BINDER, BINDING, INSIDE, SourceSpan, children, occurs_free
 from strategies import ctor_labels, lambda_terms, names, terms
 
@@ -204,6 +205,28 @@ class TestNodes:
         for copied in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
             assert copied == node and free_vars(copied) == expected
         assert free_vars(type(node)(*[getattr(node, name) for name in names])) == expected
+
+
+# ==, hash and repr are loops, so terms nested far deeper than the recursion
+# limit compare, hash and print, and so does a report that holds one
+@pytest.mark.parametrize("case", ["eq", "hash", "repr", "report"])
+def test_deep_terms_compare_hash_and_print_at_the_default_recursion_limit(case):
+    assert sys.getrecursionlimit() == 1000
+    arrows = " -> ".join(["A"] * 3001)
+    a, b = parse_term(arrows), parse_term(arrows)
+    if case == "eq":
+        assert a == b and a is not b
+        assert a != parse_term(arrows[:-1] + "B")  # they differ only at the bottom
+    elif case == "hash":
+        assert hash(a) == hash(b) and hash(replace(a, span=SourceSpan(1, 1, 1, 2))) == hash(a)
+    elif case == "repr":
+        text = repr(a)
+        assert text.count("Pi(") == 3000 and text.endswith(")" * 3001)
+        assert text.startswith("Pi(binder=Name(text=")
+        assert "), domain=Var(name=Name(text='A', fresh_tag=0)), body=Pi(" in text
+    else:
+        report = check_source("Axiom A : Set;\nAxiom d : " + arrows + ";", prelude=False)
+        assert report.exit_code == 0 and repr(report).count("Pi(") == 3000
 
 
 @pytest.mark.parametrize("node", [node for node, _, _ in NODES], ids=lambda v: type(v).__name__)

@@ -16,6 +16,7 @@ from pielang import (
     CheckError,
     Constr,
     Context,
+    DefDecl,
     Fix,
     Ind,
     Lam,
@@ -36,7 +37,8 @@ from pielang import (
 )
 from pielang import typecheck
 from pielang.cli import check_source, load_corpus
-from pielang.syntax import telescope
+from pielang.parser import Program, desugar_def
+from pielang.syntax import occurs_free, telescope
 from pielang.typecheck import _universe, ensure_equal
 from strategies import terms
 
@@ -217,10 +219,37 @@ def _inferring():
         yield
 
 
+def _def_paths(source: str, budget):
+    """Each def that does not recurse, checked by `elaborate` and by `check`
+    started on `_run` with typed=False, each in the context the declarations
+    before it built: the two lists of their diagnostics, as _checked gives them."""
+    ctxt, elaborated_, walked = Context(budget=budget), [], []
+    for decl in parse_program(source, "d.pie").decls:
+        result = elaborate(Program([decl], "d.pie"), ctxt)
+        if type(decl) is DefDecl and not occurs_free(decl.name, desugar_def(decl)[1]):
+            elaborated_.append(_rows(result.diagnostics))
+            declared, value = desugar_def(decl)
+            rule = typecheck.check(ctxt, value, declared, "T-App",
+                                   f"definition {decl.name} does not have its declared type",
+                                   decl, typed=False)
+            try:
+                typecheck._run([rule], *next(rule))
+                walked.append([])
+            except CheckError as err:
+                if err.diagnostic.span is None:
+                    err.diagnostic.span = decl.span
+                walked.append(_rows([err.diagnostic]))
+        ctxt = result.context
+    return elaborated_, walked
+
+
+def _rows(diagnostics):
+    return [(d.rule, d.message, d.span, d.render("d.pie")) for d in diagnostics]
+
+
 def _checked(source: str, budget):
     result = elaborate(parse_program(source, "d.pie"), Context(budget=budget))
-    return result.entries, [(d.rule, d.message, d.span, d.render("d.pie"))
-                            for d in result.diagnostics]
+    return result.entries, _rows(result.diagnostics)
 
 
 class TestCheck:
@@ -259,6 +288,61 @@ class TestCheck:
         checked = [_checked(source, budget) for budget in (None, 5, 0)]
         with _inferring():
             assert checked == [_checked(source, budget) for budget in (None, 5, 0)]
+
+    # a def whose value is no λ has nothing to walk, and `elaborate` checks it
+    # without `check`; started on `_run` as for a λ, `check` reports each alike
+    @given(case=checked_defs())
+    @example(case=(CHECKED + "def d() : A { b };", None))
+    @example(case=(CHECKED + "def d() : a { a };", None))
+    @example(case=(CHECKED + "def d() : ((λT:Set.T) A) { a };", None))
+    @settings(max_examples=200, deadline=None)
+    def test_a_def_with_nothing_to_walk_reports_as_the_walk_does(self, case):
+        source, _ = case
+        for budget in (None, 5, 0):
+            checked, walked = _def_paths(source, budget)
+            assert checked == walked
+
+    @pytest.mark.parametrize("path", [path for path, tag in load_corpus() if tag != "Parse"],
+                             ids=lambda p: p.name)
+    def test_the_corpus_defs_report_as_the_walk_does(self, path):
+        source = path.read_text(encoding="utf-8")
+        for budget in (None, 5, 0):
+            checked, walked = _def_paths(source, budget)
+            assert checked == walked
+
+    def test_a_def_with_no_lambda_never_starts_the_walk(self, monkeypatch):
+        walk, started = typecheck.check, []
+
+        def spy(ctxt, e, *rest, **kw):
+            started.append(e)
+            return walk(ctxt, e, *rest, **kw)
+        monkeypatch.setattr(typecheck, "check", spy)
+        source = "Axiom T : Set; Axiom a : T;\ndef d() : T { a }; def e() : T -> T { λx:T.x };"
+        result = elaborate(parse_program(source, prelude=False))
+        assert not result.diagnostics
+        assert [pretty(e) for e in started] == ["λx:T.x"]
+
+    # an argument that is itself a spine is typed in its spine's rule
+    def test_a_numeral_starts_one_application_rule(self, monkeypatch):
+        rule, started = typecheck._RULES[App], []
+
+        def spy(ctxt, e):
+            started.append(e)
+            return rule(ctxt, e)
+        monkeypatch.setitem(typecheck._RULES, App, spy)
+        numeral = "(Succ " * 3000 + "Zero" + ")" * 3000
+        result = elaborate(parse_program(NAT + f"def d() : Nat {{ {numeral} }};", prelude=False))
+        assert not result.diagnostics
+        assert len(started) == 1
+
+    # the innermost argument of a 3000-deep numeral is reported where it is
+    def test_a_numeral_whose_innermost_argument_mismatches(self):
+        head = "def d() : Nat { "
+        numeral = "(Succ " * 3000 + "a" + ")" * 3000
+        source = NAT + "Axiom A : Set; Axiom a : A;\n" + head + numeral + " };"
+        col = len(head) + len("(Succ ") * 2999 + 1
+        assert check_source(source, prelude=False).lines() == [
+            f"error[T-App] <input>:3:{col}: argument type mismatch (expected Nat, got A)"]
 
     # the read-back takes no Python frame per binder, so a 5000-binder Π type
     # is read back for the report as a 3000-binder one is
