@@ -226,9 +226,9 @@ def _def_paths(source: str, budget):
     ctxt, elaborated_, walked = Context(budget=budget), [], []
     for decl in parse_program(source, "d.pie").decls:
         result = elaborate(Program([decl], "d.pie"), ctxt)
-        if type(decl) is DefDecl and not occurs_free(decl.name, desugar_def(decl)[1]):
+        declared, value = desugar_def(decl) if type(decl) is DefDecl else (None, None)
+        if value is not None and not occurs_free(decl.name, value):
             elaborated_.append(_rows(result.diagnostics))
-            declared, value = desugar_def(decl)
             rule = typecheck.check(ctxt, value, declared, "T-App",
                                    f"definition {decl.name} does not have its declared type",
                                    decl, typed=False)
