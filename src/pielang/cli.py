@@ -7,25 +7,26 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .context import Context
-from .diagnostics import CheckError, Diagnostic
+from .diagnostics import CheckError, Diagnostic, Record
 from .normalize import normalise
 from .parser import parse_program
-from .syntax import Name, Term, pretty
+from .syntax import Name, pretty
 from .typecheck import elaborate
 
 
-@dataclass
-class CheckReport:
-    file: str
-    # name, type (None if failed), ok|failed
-    decls: list[tuple[Name, Term | None, str]] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    exit_code: int = 0
-    extra_lines: list[str] = field(default_factory=list)
+class CheckReport(Record):
+    __slots__ = ("file", "decls", "diagnostics", "exit_code", "extra_lines")
+
+    def __init__(self, file: str, decls: list | None = None,
+                 diagnostics: list[Diagnostic] | None = None, exit_code: int = 0,
+                 extra_lines: list[str] | None = None):
+        self.file, self.exit_code = file, exit_code
+        self.decls = [] if decls is None else decls  # name, type (None if failed), ok|failed
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.extra_lines = [] if extra_lines is None else extra_lines
 
     def lines(self, dump_types: bool = False) -> list[str]:
         out = []

@@ -10,17 +10,15 @@ first moves the dict to it, so a family of contexts (all extended from one
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .syntax import Name, Term
 
 DEFAULT_BUDGET = 100_000
 
 
-class Binding(NamedTuple):
-    name: Name
-    type: Term
-    value: Term | None = None
+class Binding(namedtuple("Binding", "name type value", defaults=(None,))):
+    __slots__ = ()
 
 
 class Context:

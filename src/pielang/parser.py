@@ -31,46 +31,38 @@ overflows Python's stack. The parser imports no typing module:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, count, repeat
-from typing import Iterator, NamedTuple
 
-from .diagnostics import fail
+from .diagnostics import Record, fail
 from .syntax import (App, Lam, Match, Name, Pi, SourceSpan, Term, Universe, Var, _sealed, _TEXT,
                      _token_span)
 
 
+# params and constructors are tuples of (name, type) pairs
 @_sealed
 class AxiomDecl:
-    name: Name
-    type: Term
-    span: SourceSpan | None = None
+    __slots__ = ("name", "type", "span")
 
 
 @_sealed
 class DefDecl:
-    name: Name
-    params: tuple[tuple[Name, Term], ...]
-    result_type: Term
-    body: Term
-    span: SourceSpan | None = None
+    __slots__ = ("name", "params", "result_type", "body", "span")
 
 
 @_sealed
 class InductiveDeclSrc:
-    name: Name
-    arity: Term
-    constructors: tuple[tuple[Name, Term], ...]
-    span: SourceSpan | None = None
+    __slots__ = ("name", "arity", "constructors", "span")
 
 
 Decl = AxiomDecl | DefDecl | InductiveDeclSrc
 
 
-@dataclass
-class Program:
-    decls: list[Decl]
-    source_name: str = "<input>"
+class Program(Record):
+    __slots__ = ("decls", "source_name")
+
+    def __init__(self, decls: list[Decl], source_name: str = "<input>"):
+        self.decls, self.source_name = decls, source_name
 
 
 PRELUDE = "Axiom Void : Set; Axiom Null : Void;"
@@ -80,13 +72,10 @@ PRELUDE = "Axiom Void : Set; Axiom Null : Void;"
 # Lexer
 # ---------------------------------------------------------------------------
 
-class Token(NamedTuple):
-    kind: str  # punctuation itself, or 'name' / 'number' / keyword / 'eof'
-    value: str
-    line: int
-    col: int  # of the first character, 1-based
-    end: int  # column of the last character
-
+# kind is punctuation itself, or 'name' / 'number' / keyword / 'eof'; col is
+# the 1-based column of the first character, and end that of the last
+class Token(namedtuple("Token", "kind value line col end")):
+    __slots__ = ()
     span = property(lambda tok: SourceSpan(tok.line, tok.col, tok.line, tok.end))
 
 
@@ -137,18 +126,20 @@ def _tokens(source: str) -> Iterator[tuple]:
 
 def _windows(source: str) -> Iterator[Iterator[tuple]]:
     """The tokens of each window of source in turn, one findall per window, and
-    last the end of file. Each window is (source, start, line, line start), with
-    the line and line start of its first character, counted on as it is cut."""
+    last the end of file. Each window is (source, start, line, line start, ends),
+    with the line and line start of its first character, counted on as it is
+    cut, and the bytearray in which `_token_span` records its tokens' ends."""
     findall, cut, kind_of = _TEXT.findall, _CUT.search, _Kinds(_FIXED).__getitem__
     start, size, line, line_start = 0, len(source), 1, 0
     while start < size:
         end = m.end() if (m := cut(source, start + _WIDTH)) else size
         texts = findall(source, start, end)
-        yield zip(map(kind_of, texts), texts, repeat((source, start, line, line_start)), count())
+        window = (source, start, line, line_start, bytearray())
+        yield zip(map(kind_of, texts), texts, repeat(window), count())
         if (last := source.rfind("\n", start, end)) >= 0:
             line, line_start = line + source.count("\n", start, last + 1), last + 1
         start = end
-    yield iter([("eof", "", (source, size, line, line_start), 0)])
+    yield iter([("eof", "", (source, size, line, line_start, bytearray()), 0)])
 
 
 def tokenize(source: str) -> list[Token]:

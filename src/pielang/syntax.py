@@ -1,28 +1,25 @@
 """Kernel term language: variables, universes, binders, applications,
 inductive definitions, constructors, case matches and fixpoints.
 
-Terms are immutable, slotted dataclasses. Binding is name-based; substitution
-avoids capture by renaming a binder to its text with a tag free in the terms
-in play. Each node computes its free names once and keeps them in a slot, so
-substitution skips every subterm that does not mention the substituted name.
-A node the parser builds keeps the token it was read from as its span, and
-the token's line and columns are found only when its `span` is read.
+Terms are immutable objects of plain slotted classes. Binding is name-based;
+substitution avoids capture by renaming a binder to its text with a tag free
+in the terms in play. Each node computes its free names once and keeps them
+in a slot, so substitution skips every subterm that does not mention the
+substituted name. A node the parser builds keeps the token it was read from
+as its span, and the token's line and columns are found only when its `span`
+is read.
 """
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
-from itertools import islice
+from collections import namedtuple
+from itertools import islice, repeat
 from operator import attrgetter
-from typing import NamedTuple
 
 
-class SourceSpan(NamedTuple):
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
+class SourceSpan(namedtuple("SourceSpan", "start_line start_col end_line end_col")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.start_line}:{self.start_col}"
@@ -36,26 +33,41 @@ _TEXT = re.compile(r"->|=>|:=|[(){}<>;,.:|λΠ→=-]|[^\s(){}<>;,.:|=λΠ→-]+"
 
 def _token_span(tok: tuple) -> SourceSpan:
     """The span of a token the parser keeps, a plain tuple (kind, text, window,
-    index in window), where window is (scanned source, start, line, line start)
-    with the line and line start of the window's first character. The token is
-    found by scanning its window again up to it, so placing it reads nothing
-    before the window. The end of file has no text, and sits just past the last
-    character."""
-    (source, start, line, line_start), i = tok[2], tok[3]
-    m = next(islice(_TEXT.finditer(source, start), i, None), None)
+    index in window), where window is (scanned source, start, line, line start,
+    ends) with the line and line start of the window's first character, and
+    ends a bytearray that records, in 8 bytes each, where every _STRIDE-th
+    token of the window ends, as far as placing its tokens has scanned. A
+    token is found by scanning on from the last record before it, so placing
+    any number of a window's tokens, in any order, scans the window once, and
+    fewer than _STRIDE tokens more for each, and reads nothing before it. The
+    end of file has no text, and sits just past the last character."""
+    (source, start, line, line_start, ends), i = tok[2], tok[3]
+    k = i // _STRIDE  # the records that precede the token
+    known = min(len(ends) // 8, k)  # of those, the ones made
+    at = int.from_bytes(ends[8 * known - 8:8 * known], "little") if known else start
+    scan = _TEXT.finditer(source, at)
+    if known < k:  # make the others on the way; islice reads exactly up to its stop
+        made = map(_MATCH_END, islice(scan, _STRIDE - 1, (k - known) * _STRIDE, _STRIDE))
+        # records only grow and never change, so writing exactly these is safe
+        # while another thread places a token of the window too
+        ends[8 * known:8 * k] = b"".join(map(int.to_bytes, made, repeat(8), repeat("little")))
+    m = next(islice(scan, i - k * _STRIDE, None), None)
     at, end = m.span() if m is not None else (len(source), len(source) + 1)
     if (last := source.rfind("\n", start, at)) >= 0:
         line, line_start = line + source.count("\n", start, last + 1), last + 1
     return SourceSpan(line, at - line_start + 1, line, end - line_start)
 
 
-class Name(NamedTuple):
+_MATCH_END = re.Match.end
+_STRIDE = 16
+
+
+class Name(namedtuple("Name", "text fresh_tag", defaults=(0,))):
     """A variable name; a named tuple, so hashing and comparing run in C.
     fresh_tag == 0 means the name came from source text, which cannot
     spell a tag. Arrow binders and renamed binders carry a positive tag."""
 
-    text: str
-    fresh_tag: int = 0
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.fresh_tag == 0:
@@ -80,10 +92,14 @@ class Term:
     __slots__ = ("_free_vars",)
 
 
-# The methods every sealed class shares, as a frozen dataclass would make them:
-# they read its compared fields through `_compared` and its shown ones in `_shown`.
-# Each is one loop over the nodes and tuples below it, so no level of a term takes
-# a Python frame; a value of any other kind is compared, hashed or shown by itself.
+class FrozenInstanceError(AttributeError):
+    """Raised on setting or deleting any attribute of a term or a declaration."""
+
+
+# The methods every sealed class shares: they read its compared fields through
+# `_compared` and its shown ones in `_shown`. Each is one loop over the nodes
+# and tuples below it, so no level of a term takes a Python frame; a value of
+# any other kind is compared, hashed or shown by itself.
 
 def _refuse(self, name, *value):
     raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
@@ -154,110 +170,85 @@ def _reduce(self):  # a copy is rebuilt by __init__, with an empty memo and the 
 
 
 def _sealed(cls):
-    """cls as a dataclass with slots that generates no method: it gets the shared
-    ones above, and an __init__ that writes each slot by its descriptor, not by
-    object.__setattr__; a slot that is no field starts as None. Setting or
-    deleting any name raises FrozenInstanceError. A class with no docstring
-    gets a short one, which dataclass would make by inspect.signature.
+    """cls, whose __slots__ name its fields in order with `span` last, as an
+    immutable record: it gets the shared methods above, `__match_args__`, and
+    an __init__ that writes each slot by its descriptor, not by
+    object.__setattr__, with the span None by default and a base's slot (the
+    free names' memo) None. Setting or deleting any name raises
+    FrozenInstanceError. A term's span is neither compared nor shown; a
+    declaration's is both. A class with no docstring gets one naming its fields.
     A span slot may hold the plain token tuple the parser read the node from,
     which no collection tracks once it has seen it; reading `span` places the
     token and makes the SourceSpan, so a span is built only where it is read.
     `kept_span` reads the slot as it is, to give a new node, or a copy, the
     same span."""
+    fields = cls.__match_args__ = cls.__slots__
     if cls.__doc__ is None:
-        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
-    sealed = dataclass(init=False, repr=False, eq=False, slots=True)(cls)
-    sealed.__setattr__ = sealed.__delattr__ = _refuse
-    sealed.__eq__, sealed.__hash__, sealed.__repr__, sealed.__reduce__ = _eq, _hash, _repr, _reduce
-    if cls.__base__ is Term:  # a base of Term's layout, so Term.__subclasses__() lists sealed
-        cls.__bases__ = (type("Replaced", (), {"__slots__": Term.__slots__}),)
-    fs = fields(sealed)
-    sealed._compared = attrgetter(*[f.name for f in fs if f.compare])
-    sealed._shown = tuple(f.name for f in fs if f.repr)
-    sealed._reduced = tuple("kept_span" if f == "span" else f for f in sealed.__match_args__)
-    params = [f.name for f in fs]
-    slots = [*params, *getattr(sealed.__base__, "__slots__", ())]
-    setters = {f"set_{s}": getattr(sealed, s).__set__ for s in slots}
-    writes = "".join(f"\n set_{s}(self, {s if s in params else None})" for s in slots)
-    exec(f"def __init__(self, {', '.join(params)}):{writes}", setters)
-    setters["__init__"].__defaults__ = tuple(f.default for f in fs if f.default is not MISSING)
-    sealed.__init__ = setters["__init__"]
-    if "span" in params:
-        sealed.kept_span = sealed.span  # the slot's own descriptor, under a second name
-        slot = sealed.span.__get__
+        cls.__doc__ = f"{cls.__name__}({', '.join(fields)})"
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    cls.__eq__, cls.__hash__, cls.__repr__, cls.__reduce__ = _eq, _hash, _repr, _reduce
+    cls._shown = fields[:-1] if issubclass(cls, Term) else fields
+    cls._compared = attrgetter(*cls._shown)
+    cls._reduced = (*fields[:-1], "kept_span")
+    slots = [*fields, *getattr(cls.__base__, "__slots__", ())]
+    setters = {f"set_{s}": getattr(cls, s).__set__ for s in slots}
+    writes = "".join(f"\n set_{s}(self, {s if s in fields else None})" for s in slots)
+    exec(f"def __init__(self, {', '.join(fields[:-1])}, span=None):{writes}", setters)
+    cls.__init__ = setters["__init__"]
+    cls.kept_span = cls.span  # the slot's own descriptor, under a second name
+    slot = cls.span.__get__
 
-        def span(self) -> SourceSpan | None:
-            kept = slot(self)
-            return _token_span(kept) if type(kept) is tuple else kept
-        sealed.span = property(span)
-    return sealed
-
-
-def _span_field():
-    return field(default=None, compare=False, repr=False)
+    def span(self) -> SourceSpan | None:
+        kept = slot(self)
+        return _token_span(kept) if type(kept) is tuple else kept
+    cls.span = property(span)
+    return cls
 
 
 @_sealed
 class Var(Term):
-    name: Name
-    span: SourceSpan | None = _span_field()
+    __slots__ = ("name", "span")
 
 
 @_sealed
 class Universe(Term):
-    level: int
-    span: SourceSpan | None = _span_field()
+    __slots__ = ("level", "span")
 
 
 @_sealed
 class Lam(Term):
-    binder: Name
-    domain: Term
-    body: Term
-    span: SourceSpan | None = _span_field()
+    __slots__ = ("binder", "domain", "body", "span")
 
 
 @_sealed
 class Pi(Term):
-    binder: Name
-    domain: Term
-    body: Term
-    span: SourceSpan | None = _span_field()
+    __slots__ = ("binder", "domain", "body", "span")
 
 
 @_sealed
 class App(Term):
-    fn: Term
-    arg: Term
-    span: SourceSpan | None = _span_field()
+    __slots__ = ("fn", "arg", "span")
 
 
 @_sealed
 class Ind(Term):
     """An inductive definition. The name is in scope inside the constructor
-    types (self-reference) but not inside the arity."""
+    types (self-reference) but not inside the arity; constructors is a tuple
+    of (name, type) pairs."""
 
-    name: Name
-    arity: Term
-    constructors: tuple[tuple[Name, Term], ...]
-    span: SourceSpan | None = _span_field()
+    __slots__ = ("name", "arity", "constructors", "span")
 
 
 @_sealed
 class Constr(Term):
     """The index-th constructor (1-based) of an inductive definition."""
 
-    index: int
-    inductive: Term
-    span: SourceSpan | None = _span_field()
+    __slots__ = ("index", "inductive", "span")
 
 
 @_sealed
 class Match(Term):
-    carrier: Term
-    scrutinee: Term
-    branches: tuple[tuple[Name, Term], ...]
-    span: SourceSpan | None = _span_field()
+    __slots__ = ("carrier", "scrutinee", "branches", "span")
 
 
 @_sealed
@@ -265,11 +256,7 @@ class Fix(Term):
     """A recursive function; dec_index is the 0-based position of the
     structurally decreasing argument."""
 
-    name: Name
-    dec_index: int
-    signature: Term
-    body: Term
-    span: SourceSpan | None = _span_field()
+    __slots__ = ("name", "dec_index", "signature", "body", "span")
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +563,9 @@ def pretty(t: Term) -> str:
     printed down its λ and Π bodies and its spines' last arguments; what is
     left to print after it waits on a stack as a term, as text, or as a count
     of closing parentheses. A binder, a variable domain, a spine of variables
-    before its last argument and a variable leaf are written inline: a name
-    from source text is its text."""
+    before its last argument, a leaf (a variable, an inductive, a universe or
+    a constructor it names) before an application's one argument and a
+    variable leaf are written inline: a name from source text is its text."""
     if type(t) is Var:  # the commonest type, and a leaf
         t = t.name
         return t.text if t.fresh_tag == 0 else str(t)
@@ -589,9 +577,13 @@ def pretty(t: Term) -> str:
                 todo[-1] += 1
             else:
                 todo.append(1)
-            if type(t.fn) is Var:  # one argument, after a variable
-                x = t.fn.name
+            if type(fn := t.fn) is Var:  # one argument, after a variable or another leaf
+                x = fn.name
                 out.append(f"({x.text if x.fresh_tag == 0 else x} ")
+                t = t.arg
+                continue
+            if (text := _leaf(fn)) is not None:
+                out.append(f"({text} ")
                 t = t.arg
                 continue
             head, args = spine(t)
@@ -634,20 +626,13 @@ def pretty(t: Term) -> str:
             out.append(f"(fix {t.name}[{t.dec_index}] : ")
             todo += 1, t.body, ". "
             t = t.signature
-        elif kind is Constr and not (type(ind := t.inductive) is Ind
-                                     and 1 <= t.index <= len(ind.constructors)):
-            out.append(f"Constr({t.index},")
-            todo.append(1)
-            t = ind
-        else:  # a leaf: then what waits, up to the next term
+        elif kind is Var or (text := _leaf(t)) is not None:  # then what waits, up to the next term
             if kind is Var:
-                t = t.name
-                t = t.text if t.fresh_tag == 0 else str(t)
-            else:
-                t = _leaf(t)
+                x = t.name
+                text = x.text if x.fresh_tag == 0 else str(x)
             if not todo:
-                return "".join(out) + t if out else t
-            out.append(t)
+                return "".join(out) + text if out else text
+            out.append(text)
             while todo:
                 t = todo.pop()
                 if type(t) is str:
@@ -658,16 +643,24 @@ def pretty(t: Term) -> str:
                     break
             else:
                 return "".join(out)
+        elif kind is Constr:  # one that names none of its inductive's constructors
+            out.append(f"Constr({t.index},")
+            todo.append(1)
+            t = t.inductive
+        else:
+            raise TypeError(f"not a term: {t!r}")
 
 
-def _leaf(t: Term) -> str:
-    match t:
-        case Ind(name=n):
-            return str(n)
-        case Universe(level=0):
-            return "Set"
-        case Universe(level=i):
-            return f"(Type {i})"
-        case Constr(index=i, inductive=ind):  # a constructor pretty names
-            return str(ind.constructors[i - 1][0])
-    raise TypeError(f"not a term: {t!r}")
+def _leaf(t: Term) -> str | None:
+    """The text of an inductive, a universe, or a constructor that names one of
+    its inductive's; None for any other term."""
+    kind = type(t)
+    if kind is Constr and type(ind := t.inductive) is Ind and 0 < t.index <= len(ind.constructors):
+        x = ind.constructors[t.index - 1][0]
+    elif kind is Ind:
+        x = t.name
+    elif kind is Universe:
+        return "Set" if t.level == 0 else f"(Type {t.level})"
+    else:
+        return None
+    return x.text if x.fresh_tag == 0 else str(x)

@@ -18,10 +18,8 @@ reads its span only to report a failure, so a term whose typing succeeds
 never has its span built."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .context import Context
-from .diagnostics import CheckError, Diagnostic, fail
+from .diagnostics import CheckError, Diagnostic, Record, fail
 from .inductive import (_carrier_level, _expected_carrier_type, case_type, param_count,
                         positive_check, upsilon)
 from .normalize import check_equal, mismatch, normalise
@@ -306,12 +304,14 @@ def enter(ctxt: Context, x: Name, t: Term, *scope: Term) -> tuple:
 # Top-level elaboration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ElabResult:
-    context: Context
-    # name, type (None if failed), ok|failed
-    entries: list[tuple[Name, Term | None, str]] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+class ElabResult(Record):
+    __slots__ = ("context", "entries", "diagnostics")
+
+    def __init__(self, context: Context, entries: list | None = None,
+                 diagnostics: list[Diagnostic] | None = None):
+        self.context = context
+        self.entries = [] if entries is None else entries  # name, type (None if failed), ok|failed
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 def elaborate(program, initial: Context | None = None) -> ElabResult:

@@ -1,4 +1,5 @@
-"""Shared fixtures: cached elaboration of the bundled example programs."""
+"""Shared fixtures: cached elaboration of the bundled example programs, and
+a copy of a term or declaration with some fields changed."""
 from __future__ import annotations
 
 import functools
@@ -23,3 +24,9 @@ def entry_type(result, name_text: str):
         if str(name) == name_text and status == "ok":
             return type_
     raise KeyError(name_text)
+
+
+def replace(node, **changes):
+    """node rebuilt from its fields, each changed as changes say: by keyword,
+    so a name that is no field fails."""
+    return type(node)(**{f: getattr(node, f) for f in node.__match_args__} | changes)

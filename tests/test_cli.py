@@ -568,6 +568,23 @@ class TestPackage:
         assert [ast.unparse(node) for node in body[first:]
                 if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
+    # a cold `pie check` spends most of its time importing, and these would
+    # cost a third of that: dataclasses pulls in inspect, ast, dis and tokenize
+    @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+    def test_no_module_imports_dataclasses_or_typing(self, module):
+        assert [m for _, m in _imports(PACKAGE / module)
+                if m.split(".")[0] in ("dataclasses", "typing")] == []
+
+    def test_importing_the_checker_loads_no_dataclasses_inspect_or_typing(self):
+        code = ("import sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "import pielang.cli\n"
+                "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))\n")
+        result = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
     def test_the_parser_imports_no_typing_module(self):
         local = {m for _, m in _imports(PACKAGE / "parser.py") if m.startswith(".")}
         assert local == {".diagnostics", ".syntax"}

@@ -22,12 +22,15 @@ from hypothesis import strategies as st
 import reference_parser as reference
 from pielang.cli import load_corpus
 from pielang.diagnostics import CheckError
-from pielang.parser import parse_program, tokenize
+from pielang.parser import AxiomDecl, DefDecl, InductiveDeclSrc, Program, parse_program, tokenize
+from pielang.syntax import Term
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
 DIGESTS = Path(__file__).with_name("golden") / "parse_digests.txt"
+# a term, a declaration or a program: each class's __slots__ are its fields, in order
+NODES = (Term, AxiomDecl, DefDecl, InductiveDeclSrc, Program)
 
 
 def flat(value) -> list:
@@ -36,8 +39,8 @@ def flat(value) -> list:
     out, stack = [], [value]
     while stack:
         v = stack.pop()
-        if hasattr(v, "__dataclass_fields__"):  # a term, a declaration or a program
-            fields = [f for f in v.__dataclass_fields__ if f != "span"]
+        if isinstance(v, NODES):
+            fields = [f for f in type(v).__slots__ if f != "span"]
             out += [type(v).__name__, getattr(v, "span", None)]
             stack.extend(getattr(v, f) for f in reversed(fields))
         elif type(v) in (list, tuple):

@@ -3,18 +3,20 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
+import sys
+import threading
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_source, elaborated
+from conftest import corpus_source, elaborated, replace
 from pielang.cli import check_source, load_corpus
 from pielang.parser import _tokens, tokenize
 from pielang import syntax
-from pielang.syntax import SourceSpan, _token_span
+from pielang.syntax import _TEXT, FrozenInstanceError, SourceSpan, _token_span
 from pielang import (
     AxiomDecl,
     CheckError,
@@ -154,6 +156,53 @@ class TestTokens:
         assert report.lines() == [f"error[T-Var] m.pie:{i + 1}:{col}: unbound variable B"
                                   for i, col in enumerate(columns)]
 
+    def test_a_report_scans_each_window_once(self, monkeypatch):
+        """Placing a report's diagnostics scans each window at most once, and
+        fewer than _STRIDE tokens more for each: every match that placing
+        makes is counted. Scanning each from its window's start, as once, would
+        make about six times as many."""
+        source = "\n".join(f"Axiom a{i} : (A -> (A -> (A -> B)));" for i in range(3000))
+        tokens = len(list(_tokens(source)))
+
+        class Counting:  # _TEXT, counting the matches its finditer yields
+            matched = 0
+
+            def finditer(self, *args):
+                for m in _TEXT.finditer(*args):
+                    self.matched += 1
+                    yield m
+        counting = Counting()
+        monkeypatch.setattr(syntax, "_TEXT", counting)
+        report = check_source("Axiom A : Set;\n" + source, "m.pie")
+        assert report.lines() == [f"error[T-Var] m.pie:{i + 2}:{29 + len(str(i))}: unbound variable B"
+                                  for i in range(3000)]
+        assert counting.matched <= tokens + 3000 * (syntax._STRIDE - 1)
+
+    def test_threads_placing_the_same_windows_agree(self):
+        """Threads that place the same tokens at once, each in its own order,
+        find the spans that placing them one by one finds, though they record
+        into the same windows."""
+        source = " ".join(f"(a{i} b)" for i in range(400))
+        expected = [_token_span(tok) for tok in _tokens(source)]
+        tokens = list(_tokens(source))  # fresh windows: nothing recorded yet
+        results, interval = [], sys.getswitchinterval()
+
+        def place(seed):
+            order = random.Random(seed).sample(range(len(tokens)), len(tokens))
+            spans = dict(zip(order, [_token_span(tokens[i]) for i in order]))
+            results.append([spans[i] for i in range(len(tokens))])
+        threads = [threading.Thread(target=place, args=(seed,)) for seed in range(8)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 8
+
     def test_a_copy_keeps_its_token_unplaced(self, monkeypatch):
         program = parse_program("Axiom A : Set; def f(x : A) : A { x }; Inductive N : Set := | Z : N")
         nodes = [*program.decls, program.decls[-2].body]
@@ -278,8 +327,9 @@ DECLS = [
 
 @pytest.mark.parametrize("decl, names, text", DECLS, ids=lambda v: type(v).__name__)
 class TestDeclarationRecords:
-    """Declarations are frozen dataclasses whose span, unlike a term's, takes
-    part in equality, hash and repr; their fields and class patterns stay."""
+    """Declarations are immutable records whose span, unlike a term's, takes
+    part in equality, hash and repr; the fields and class patterns they had as
+    frozen dataclasses stay."""
 
     def test_fields_cannot_be_assigned_or_deleted(self, decl, names, text):
         for name in (*names, "unknown"):
@@ -294,7 +344,7 @@ class TestDeclarationRecords:
         assert copy.copy(decl) == copy.deepcopy(decl) == pickle.loads(pickle.dumps(decl)) == decl
 
     def test_repr_and_field_order(self, decl, names, text):
-        assert tuple(f.name for f in fields(decl)) == names
+        assert decl.__match_args__ == names
         assert repr(decl) == text
 
     def test_keyword_and_positional_patterns(self, decl, names, text):

@@ -45,5 +45,7 @@ IND = Ind(Name("N"), Universe(0), ((Name("Z"), Var(Name("N"))),))
 @example(Lam(X, Match(Var(A), Var(X), ((Name("Z"), Var(A)),)), Constr(1, IND)))
 @example(Pi(X, Fix(A, 0, Var(A), Var(A)), App(Constr(2, Var(A)), Fix(X, 1, Var(A), Var(X)))))
 @example(App(App(Lam(X, Var(A), Var(X)), Universe(2)), Pi(Name("b", 3), Universe(0), Var(A))))
+@example(App(Constr(1, IND), App(App(Constr(1, IND), Ind(A, Universe(1), ())), App(Universe(0), Var(X)))))
+@example(App(Constr(2, IND), App(Constr(1, Var(A)), Constr(0, IND))))  # constructors IND lacks
 def test_pretty_prints_as_the_reference_printer_does(t):
     assert pretty(t) == reference.pretty(t)

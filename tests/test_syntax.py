@@ -6,12 +6,12 @@ import gc
 import pickle
 import sys
 import time
-from dataclasses import FrozenInstanceError, fields, replace
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import replace
 from nameless import nameless_free, oracle_subst, to_nameless
 from pielang import (
     App,
@@ -33,15 +33,16 @@ from pielang import (
     subst,
 )
 from pielang.cli import check_source
-from pielang.syntax import BINDER, BINDING, INSIDE, SourceSpan, children, occurs_free
+from pielang.syntax import (BINDER, BINDING, INSIDE, FrozenInstanceError, SourceSpan, children,
+                            occurs_free)
 from strategies import ctor_labels, lambda_terms, names, terms
 
 x, y, z = Name("x"), Name("y"), Name("z")
 
 
 class TestRecords:
-    """Names and spans are immutable records whose equality, hash, str and
-    repr read as they did when they were frozen dataclasses."""
+    """Names and spans are immutable named tuples whose equality, hash, str
+    and repr read as they did when they were frozen dataclasses."""
 
     def test_fresh_tag_distinguishes_names(self):
         assert Name("x") != Name("x", 1)
@@ -116,7 +117,7 @@ def test_binding_table_covers_every_compound_term():
 
 @pytest.mark.parametrize("kind", BINDING, ids=lambda kind: kind.__name__)
 def test_binding_table_lists_the_fields_in_field_order(kind):
-    assert [name for name, _ in BINDING[kind]] == [f.name for f in fields(kind) if f.name != "span"]
+    assert [name for name, _ in BINDING[kind]] == [f for f in kind.__match_args__ if f != "span"]
 
 
 A, B = Var(Name("A")), Var(Name("B"))
@@ -159,8 +160,8 @@ def test_children_are_listed_in_field_order():
 
 @pytest.mark.parametrize("node, names, text", NODES, ids=lambda v: type(v).__name__)
 class TestNodes:
-    """Every term class is a frozen dataclass: immutable, compared and hashed
-    without its span, with the fields, repr and class patterns it always had."""
+    """Every term class is immutable, compared and hashed without its span,
+    with the fields, repr and class patterns it had as a frozen dataclass."""
 
     def test_fields_cannot_be_assigned_or_deleted(self, node, names, text):
         for name in (*names, "_free_vars", "unknown"):  # the memo slot and no slot at all
@@ -176,7 +177,7 @@ class TestNodes:
         assert replace(node, **{names[0]: Name("y")}) != node
 
     def test_repr_and_field_order(self, node, names, text):
-        assert tuple(f.name for f in fields(node)) == names
+        assert node.__match_args__ == names
         assert repr(replace(node, span=SourceSpan(1, 1, 1, 2))) == text
 
     def test_keyword_and_positional_patterns(self, node, names, text):
